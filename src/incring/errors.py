@@ -12,6 +12,7 @@ __all__ = [
     "OverlappingAugmentation",
     "IncompatibleOperands",
     "NotComparable",
+    "UnknownElement",
     "NotConvex",
     "NotInvertible",
     "HypothesisViolation",
@@ -56,6 +57,10 @@ class IncompatibleOperands(IncRingError):
 
 class NotComparable(IncRingError):
     """A matrix entry was placed outside the order relation."""
+
+
+class UnknownElement(IncRingError):
+    """A matrix entry or unit named an element outside the proset."""
 
 
 class NotConvex(IncRingError):

@@ -3,11 +3,13 @@
 A matrix is invertible exactly when every class-diagonal block (the dense
 square block of an equivalence class) has unit determinant; the inverse is
 assembled by block back-substitution along a deterministic linear extension
-of the class order.  Determinants and adjugates are computed division-free,
-so everything works over Z and Z/n as well as over fields.
+of the class order.  An n-point class block's determinant and adjugate come
+from one division-free Berkowitz characteristic polynomial and Cayley-Hamilton
+in O(n^4) ring operations, so Z and Z/n work as well as fields.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import HypothesisViolation, NotInvertible
 from .matrices import IncMatrix, identity, unit
@@ -65,57 +67,54 @@ def _mat_neg(ring, x):
     return [[ring.neg(a) for a in row] for row in x]
 
 
+def _charpoly(ring, m):
+    """[p0, ..., pn] with det(m - xI) = p0 x^n + ... + pn, by Berkowitz's
+    division-free recursion on det(xI - m): step k multiplies the vector of
+    the leading k-block A by the Toeplitz column 1, -a_kk, -R C, -R A C, ...,
+    -R A^(k-1) C, where R and C are the row and column that extend A."""
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    poly = [ring.one]
+    for k in range(len(m)):
+        lead, row, col = [r[:k] for r in m[:k]], m[k][:k], [r[k] for r in m[:k]]
+        t = [neg(m[k][k])]
+        for step in range(k):
+            if step:
+                col = [reduce(add, map(mul, r, col)) for r in lead]
+            t.append(neg(reduce(add, map(mul, row, col))))
+        new = poly + [ring.zero]
+        for j, p in enumerate(poly):
+            for i, ti in enumerate(t[:k + 1 - j], j + 1):
+                new[i] = add(new[i], mul(ti, p) if j else ti)
+        poly = new
+    return poly if len(m) % 2 == 0 else [neg(c) for c in poly]
+
+
 def det_block(ring, m):
-    """Division-free determinant by first-row expansion with memo on columns."""
+    """Determinant of a dense n x n block: the constant term of its Berkowitz
+    characteristic polynomial, division-free in O(n^4) ring operations."""
+    return m[0][0] if len(m) == 1 else _charpoly(ring, m)[-1]
+
+
+def _det_adj(ring, m):
+    """Determinant and adjugate from one characteristic polynomial: by
+    Cayley-Hamilton adj m = -(p0 m^(n-1) + ... + p(n-1) I), by Horner's rule."""
     n = len(m)
-    if n == 0:
-        return ring.one
-    memo = {}
-
-    def rec(cols):
-        if len(cols) == 1:
-            return m[n - 1][cols[0]]
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = n - len(cols)
-        acc = ring.zero
-        for idx, c in enumerate(cols):
-            a = m[row][c]
-            if a == ring.zero:
-                continue
-            sub = cols[:idx] + cols[idx + 1:]
-            term = ring.mul(a, rec(sub))
-            acc = ring.add(acc, term if idx % 2 == 0 else ring.neg(term))
-        memo[cols] = acc
-        return acc
-
-    return rec(tuple(range(n)))
-
-
-def _adjugate(ring, m):
-    n = len(m)
-    if n == 1:
-        return [[ring.one]]
-    adj = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = det_block(ring, minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else ring.neg(cof)
-    return adj
+    poly = _charpoly(ring, m)
+    start = m if n % 2 else _mat_neg(ring, m)  # -p0 m, as p0 = (-1)^n
+    adj = [[ring.sub(a, poly[1]) if i == j else a for j, a in enumerate(row)] for i, row in enumerate(start)]
+    for c in poly[2:n]:
+        adj = _mat_mul(ring, adj, m)
+        for i in range(n):
+            adj[i][i] = ring.sub(adj[i][i], c)
+    return poly[n], adj
 
 
 def _block_inverse(ring, m):
-    d = det_block(ring, m)
-    if not ring.is_unit(d):
-        raise NotInvertible("block determinant %s is not a unit" % ring.format(d))
+    """Adjugate over determinant; ring.inv raises NotInvertible off the units."""
+    if len(m) == 1:
+        return [[ring.inv(m[0][0])]]
+    d, adj = _det_adj(ring, m)
     dinv = ring.inv(d)
-    adj = _adjugate(ring, m)
     return [[ring.mul(dinv, a) for a in row] for row in adj]
 
 
@@ -144,7 +143,6 @@ def class_extension(pro):
 
 
 def _get_block(matrix, rows, cols):
-    ring = matrix.ring
     return [[matrix.entry(a, b) for b in cols] for a in rows]
 
 
@@ -162,7 +160,7 @@ def is_invertible(matrix):
 def invert(matrix):
     """Two-sided inverse inside the same incidence ring.
 
-    Diagonal class blocks invert by adjugate over determinant; blocks between
+    Diagonal class blocks invert by Cayley-Hamilton; blocks between
     classes c1 < c2 follow the back-substitution
 
         B[c1, c2] = -B[c1, c1] * sum over c1 < c <= c2 of A[c1, c] * B[c, c2].

@@ -2,8 +2,9 @@
 maps.
 
 Everything emitted can be re-read bit-identically: element labels are kept
-as written (integers or strings), coefficient values travel as exact strings
-through each ring's parse/format pair, and relation lists are sorted.
+as written (integers, strings, or tuples of them, which JSON carries as
+arrays), coefficient values travel as exact strings through each ring's
+parse/format pair, and relation lists are sorted.
 """
 
 import json
@@ -70,9 +71,15 @@ def ring_to_json(ring):
     return ring.descriptor()
 
 
+def _label(obj):
+    """JSON has no tuples, so an array inside a label reads back as one."""
+    return tuple(_label(x) for x in obj) if isinstance(obj, list) else obj
+
+
 def _resolve(label, elements):
     """Match a JSON label against proset elements, tolerating the string
     coercion JSON object keys force on integers."""
+    label = _label(label)
     if label in elements:
         return label
     by_str = {str(e): e for e in elements}
@@ -88,7 +95,7 @@ def proset_from_json(obj):
         if isinstance(fam, Proset):
             return fam
         raise ValueError("an infinite family is not a finite proset")
-    elements = list(obj["elements"])
+    elements = [_label(e) for e in obj["elements"]]
     rel = [
         (_resolve(a, elements), _resolve(b, elements))
         for a, b in obj.get("relations", [])

@@ -10,7 +10,7 @@ realizes the interval convolution
 exactly: transitivity makes the interval membership test implicit.
 """
 
-from .errors import IncompatibleOperands, NotComparable, NotConvex
+from .errors import IncompatibleOperands, NotComparable, NotConvex, UnknownElement
 from .prosets import elem_key
 
 __all__ = [
@@ -41,8 +41,12 @@ class IncMatrix:
             v = ring.canon(v)
             if v == ring.zero:
                 continue
-            if not pro.leq(s1, s2):
-                raise NotComparable("entry at (%r, %r) is off the order" % (s1, s2))
+            try:
+                comparable = pro.leq(s1, s2)
+            except KeyError:
+                comparable = False
+            if not comparable:
+                _reject_pair(pro, s1, s2, "entry at (%r, %r) is off the order")
             clean[(s1, s2)] = v
         self.entries = clean
 
@@ -197,9 +201,19 @@ def indicator(pro, ring, subset):
 def unit(pro, ring, s1, s2, value=None):
     """e^(s1,s2): single entry at a comparable pair, 1 unless `value` is
     given; e^(s,s) == 1^{s}."""
-    if not pro.leq(s1, s2):
-        raise NotComparable("(%r, %r) is not an order pair" % (s1, s2))
+    if s1 not in pro or s2 not in pro or not pro.leq(s1, s2):
+        _reject_pair(pro, s1, s2, "(%r, %r) is not an order pair")
     return IncMatrix(pro, ring, {(s1, s2): ring.one if value is None else value})
+
+
+def _reject_pair(pro, s1, s2, message):
+    """Raise the typed error for a pair outside the order relation: an
+    unknown label first, since (a, z) with z unknown is not a comparability
+    question."""
+    for s in (s1, s2):
+        if s not in pro:
+            raise UnknownElement("%r is not an element of the proset" % (s,))
+    raise NotComparable(message % (s1, s2))
 
 
 def join_components(pieces, pro, ring):

@@ -71,14 +71,20 @@ def is_topologically_nilpotent(m):
     return analytic
 
 
+def _require_boolean_part_01(ring):
+    """Idempotent bookkeeping needs B(P) = {0, 1}: over Z/6, say, M(P) splits
+    as M(F2) x M(F3) and every idempotent class doubles."""
+    if len(ring.boolean_part()) > 2:
+        raise RingBooleanPartTooLarge(
+            "coefficients %r have idempotents besides 0 and 1" % (ring.descriptor(),)
+        )
+
+
 def b_of(e):
     """Diagonal support of an idempotent: the set of elements where the
     diagonal entry is 1.  Only defined over coefficient rings whose only
     idempotents are 0 and 1."""
-    if len(e.ring.boolean_part()) > 2:
-        raise RingBooleanPartTooLarge(
-            "coefficients %r have idempotents besides 0 and 1" % (e.ring.descriptor(),)
-        )
+    _require_boolean_part_01(e.ring)
     if e.mul(e) != e:
         raise NotIdempotent("matrix is not idempotent")
     out = set()
@@ -428,7 +434,10 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None, stall=60, keep=12
     idempotents (which land in minimal classes), buckets them the same way,
     and stops once no new class has shown up for `stall` consecutive draws.
     Returns a Proset on fresh integer labels, correct up to isomorphism.
+    Raises RingBooleanPartTooLarge when the coefficient ring has idempotents
+    besides 0 and 1, since the class count would no longer match the poset.
     """
+    _require_boolean_part_01(access.ring)
     size = access.carrier_size()
     if mode == "auto":
         mode = "exhaustive" if size is not None and size <= 2**14 else "witness"

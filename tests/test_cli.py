@@ -39,6 +39,18 @@ def test_identity_times_identity(capsys):
     assert report["result"]["entries"] == [[0, 0, "1"], [1, 1, "1"]]
 
 
+def test_tuple_labels_multiply(capsys):
+    """random_proset's tuple labels come out of matrix_to_json as arrays."""
+    a = json.dumps({
+        "proset": {"elements": [[0, 0], [1, 0]], "relations": [[[0, 0], [1, 0]]]},
+        "ring": {"gf": 5},
+        "entries": [[[0, 0], [0, 0], "2"], [[0, 0], [1, 0], "3"]],
+    })
+    code, out = run(capsys, "algebra", "mul", "--a", a, "--b", a)
+    assert code == 0
+    assert json.loads(out)["result"]["entries"] == [[[0, 0], [0, 0], "4"], [[0, 0], [1, 0], "1"]]
+
+
 def test_same_seed_same_bytes(capsys):
     pro = json.dumps({"elements": [0, 1, 2], "relations": [[0, 1], [1, 2]]})
     _, first = run(capsys, "group", "random", "--proset", pro, "--ring", "gf:5",

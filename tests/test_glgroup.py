@@ -8,8 +8,10 @@ import pytest
 from incring.errors import HypothesisViolation, NotInvertible
 from incring.glgroup import (
     GroupElement,
+    _det_adj,
     certify,
     commutator,
+    det_block,
     dickson_normal_closure,
     enumerate_invertibles,
     enumerate_matrices,
@@ -24,8 +26,8 @@ from incring.glgroup import (
     random_invertible,
     transpose_op_iso,
 )
-from incring.matrices import ConvexIdeal, identity, scalar_diag, unit, zero
-from incring.prosets import Proset, two_block
+from incring.matrices import ConvexIdeal, IncMatrix, identity, scalar_diag, unit, zero
+from incring.prosets import Proset, elem_key, two_block
 from incring.rings import ModRing, PrimeField, QQ, ZZ
 from incring.samples import enumerate_posets, random_matrix, random_proset
 
@@ -251,3 +253,95 @@ def test_two_block_units():
     for _ in range(50):
         a = random_invertible(tb, PrimeField(3), rng)
         assert invert(a).mul(a) == identity(tb, PrimeField(3))
+
+
+# -- class-block inversion against the cofactor oracle ------------------------
+
+
+def cofactor_det(ring, m):
+    """Oracle: first-row Laplace expansion, memoised on column subsets."""
+    n = len(m)
+    memo = {}
+
+    def rec(cols):
+        if len(cols) == 1:
+            return m[n - 1][cols[0]]
+        if cols not in memo:
+            row = n - len(cols)
+            acc = ring.zero
+            for idx, c in enumerate(cols):
+                term = ring.mul(m[row][c], rec(cols[:idx] + cols[idx + 1:]))
+                acc = ring.add(acc, term if idx % 2 == 0 else ring.neg(term))
+            memo[cols] = acc
+        return memo[cols]
+
+    return rec(tuple(range(n)))
+
+
+def cofactor_adjugate(ring, m):
+    """Oracle: transposed matrix of signed cofactors."""
+    n = len(m)
+    if n == 1:
+        return [[ring.one]]
+    adj = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = cofactor_det(ring, minor)
+            adj[j][i] = cof if (i + j) % 2 == 0 else ring.neg(cof)
+    return adj
+
+
+NON_UNITS = {"Z": 2, "Z/9": 3, "Z/6": 3}
+
+
+def oracle_blocks(ring, n, rng):
+    """Random, unit-determinant, singular and (where the ring has one)
+    nonzero non-unit-determinant n x n blocks."""
+    rows = sorted(two_block(n).elements, key=elem_key)
+    a = random_invertible(two_block(n), ring, rng)
+    unit_blk = [[a.entry(r, c) for c in rows] for r in rows]
+    dependent = [ring.add(x, y) for x, y in zip(unit_blk[0], unit_blk[-2])] if n > 1 else [ring.zero]
+    blocks = [
+        [[ring.canon(ring.random(rng)) for _ in range(n)] for _ in range(n)],
+        unit_blk,
+        unit_blk[:-1] + [dependent],
+    ]
+    if ring.name in NON_UNITS:
+        k = ring.canon(NON_UNITS[ring.name])
+        blocks.append([[ring.mul(k, x) for x in unit_blk[0]]] + unit_blk[1:])
+    return rows, blocks
+
+
+def test_block_inversion_matches_cofactor_oracle():
+    rng = random.Random(83)
+    for ring in (ZZ, QQ, ModRing(9), ModRing(6), PrimeField(2), PrimeField(5)):
+        for n in range(1, 9):
+            for _ in range(2):
+                rows, blocks = oracle_blocks(ring, n, rng)
+                pro = two_block(n)
+                for blk in blocks:
+                    d, adj = cofactor_det(ring, blk), cofactor_adjugate(ring, blk)
+                    assert det_block(ring, blk) == d
+                    if n > 1:
+                        assert _det_adj(ring, blk) == (d, adj)
+                    a = IncMatrix(pro, ring, {(r, c): blk[i][j] for i, r in enumerate(rows)
+                                              for j, c in enumerate(rows)})
+                    assert is_invertible(a) == ring.is_unit(d)
+                    if not ring.is_unit(d):
+                        with pytest.raises(NotInvertible):
+                            invert(a)
+                        continue
+                    dinv = ring.inv(d)
+                    want = IncMatrix(pro, ring, {(r, c): ring.mul(dinv, adj[i][j])
+                                                 for i, r in enumerate(rows)
+                                                 for j, c in enumerate(rows)})
+                    assert invert(a) == want
+
+
+def test_sixteen_point_block_round_trip():
+    for ring in (PrimeField(5), ModRing(9)):
+        pro = two_block(16)
+        a = random_invertible(pro, ring, random.Random(89))
+        b = invert(a)
+        assert a.mul(b) == identity(pro, ring) == b.mul(a)

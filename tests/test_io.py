@@ -23,7 +23,7 @@ from incring.io import (
 from incring.matrices import identity, unit
 from incring.prosets import Proset, ZigFamily
 from incring.rings import QQ, ModRing, PrimeField, ZZ
-from incring.samples import random_finitary, random_matrix
+from incring.samples import random_finitary, random_matrix, random_proset
 
 import random
 
@@ -63,6 +63,16 @@ def test_matrix_round_trip():
     doc = matrix_to_json(m)
     json.dumps(doc)
     assert matrix_from_json(doc) == m
+
+
+def test_tuple_labels_round_trip_through_json_text():
+    """JSON carries tuple labels as arrays; reading them back gives tuples."""
+    rng = random.Random(0)
+    for _ in range(10):
+        m = random_matrix(random_proset(4, rng), PrimeField(5), rng)
+        text = json.dumps(matrix_to_json(m))
+        assert matrix_from_json(json.loads(text)) == m
+        assert proset_from_json(json.loads(text)["proset"]) == m.pro
 
 
 def test_lazy_round_trip():

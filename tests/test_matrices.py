@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from incring.errors import IncompatibleOperands, NotComparable, NotConvex
+from incring.errors import IncompatibleOperands, NotComparable, NotConvex, UnknownElement
 from incring.matrices import (
     CoeffIdeal,
     ConvexIdeal,
@@ -76,6 +76,16 @@ def test_entry_off_order_is_zero():
     assert a.entry(0, 2) == 1
     with pytest.raises(NotComparable):
         IncMatrix(CHAIN3, ZZ, {(2, 0): 1})
+
+
+def test_unknown_elements_raise_typed_error():
+    for pair in ((9, 0), (0, 9), (9, 9)):
+        with pytest.raises(UnknownElement):
+            IncMatrix(CHAIN3, ZZ, {pair: 1})
+        with pytest.raises(UnknownElement):
+            unit(CHAIN3, ZZ, *pair)
+    with pytest.raises(NotComparable):
+        unit(CHAIN3, ZZ, 2, 0)
 
 
 def test_add_neg_scalar():

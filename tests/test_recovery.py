@@ -8,6 +8,7 @@ import pytest
 from incring.errors import (
     NotIdempotent,
     PosetRequired,
+    RingBooleanPartTooLarge,
     SearchBudgetExceeded,
 )
 from incring.glgroup import random_invertible, invert
@@ -214,3 +215,15 @@ def test_recovered_relations_match_original_exactly():
         wrong = [t for t in targets if t.poset_isomorphic(pro) is None]
         for t in wrong:
             assert rec.poset_isomorphic(t) is None
+
+
+def test_recover_rejects_rings_with_extra_idempotents():
+    """M(P) over Z/6 splits as M(P) over F2 times M(P) over F3, so the
+    idempotent classes double; recovery must refuse rather than return a
+    4-point poset for a 2-chain."""
+    chain2 = Proset([0, 1], [(0, 1)])
+    bundle, access = scramble(chain2, ModRing(6), seed=0)
+    with pytest.raises(RingBooleanPartTooLarge):
+        recover_poset(access, mode="exhaustive")
+    with pytest.raises(RingBooleanPartTooLarge):
+        recover_poset(MatrixAccess(chain2, ModRing(6)), mode="witness")
