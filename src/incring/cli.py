@@ -451,14 +451,7 @@ def main(argv=None):
     args._argv = argv
     try:
         return args.fn(args)
-    except IncRingError as exc:
-        print(json.dumps({
-            "invocation": "incring " + " ".join(argv),
-            "version": __version__,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }, indent=2, sort_keys=True))
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (IncRingError, OSError, ValueError, KeyError) as exc:
         print(json.dumps({
             "invocation": "incring " + " ".join(argv),
             "version": __version__,

@@ -8,7 +8,7 @@ from one division-free Berkowitz characteristic polynomial and Cayley-Hamilton
 in O(n^4) ring operations, so Z and Z/n work as well as fields.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .errors import HypothesisViolation, NotInvertible
@@ -90,9 +90,23 @@ def _charpoly(ring, m):
 
 
 def det_block(ring, m):
-    """Determinant of a dense n x n block: the constant term of its Berkowitz
-    characteristic polynomial, division-free in O(n^4) ring operations."""
-    return m[0][0] if len(m) == 1 else _charpoly(ring, m)[-1]
+    """Determinant of a dense n x n block: the closed form up to n == 3, else
+    the constant term of its Berkowitz characteristic polynomial,
+    division-free in O(n^4) ring operations."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    mul, sub = ring.mul, ring.sub
+    if n == 2:
+        (a, b), (c, d) = m
+        return sub(mul(a, d), mul(b, c))
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return ring.add(
+            sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
+            mul(c, sub(mul(d, h), mul(e, g))),
+        )
+    return _charpoly(ring, m)[-1]
 
 
 def _det_adj(ring, m):
@@ -122,7 +136,14 @@ def _block_inverse(ring, m):
 
 
 def class_extension(pro):
-    """Linear extension of the equivalence classes, canonical tie-break."""
+    """Linear extension of the equivalence classes, canonical tie-break;
+    computed on first use and kept on the proset."""
+    if pro._class_extension is None:
+        pro._class_extension = _linear_extension(pro)
+    return pro._class_extension
+
+
+def _linear_extension(pro):
     classes = [tuple(sorted(c, key=elem_key)) for c in pro.classes()]
     remaining = set(range(len(classes)))
     below = {
@@ -139,7 +160,7 @@ def class_extension(pro):
         pick = min(ready, key=lambda i: elem_key(classes[i][0]))
         order.append(pick)
         remaining.discard(pick)
-    return [classes[i] for i in order]
+    return tuple(classes[i] for i in order)
 
 
 def _get_block(matrix, rows, cols):
@@ -147,11 +168,14 @@ def _get_block(matrix, rows, cols):
 
 
 def is_invertible(matrix):
-    """Unit test: every class-diagonal block has unit determinant."""
+    """Unit test: every class-diagonal block has unit determinant; a
+    one-point class tests its diagonal entry directly."""
     ring = matrix.ring
-    for c in matrix.pro.classes():
-        rows = tuple(sorted(c, key=elem_key))
-        d = det_block(ring, _get_block(matrix, rows, rows))
+    for rows in class_extension(matrix.pro):
+        if len(rows) == 1:
+            d = matrix.entry(rows[0], rows[0])
+        else:
+            d = det_block(ring, _get_block(matrix, rows, rows))
         if not ring.is_unit(d):
             return False
     return True
@@ -329,12 +353,7 @@ def centrality_generators(pro, ring):
     return gens
 
 
-@dataclass
-class CentralityReport:
-    central: bool
-    scalar_test: bool
-    hypothesis_ok: bool
-    agree: bool
+CentralityReport = namedtuple("CentralityReport", "central scalar_test hypothesis_ok agree")
 
 
 def is_central(g):
@@ -476,7 +495,9 @@ def dickson_normal_closure(n, q, rng, max_rounds=64):
     Needs n >= 2, and |F| > 3 when n == 2.  The closure is grown by
     conjugating with group generators and closing under products; the report
     records its order and whether the standard SL_n generating pair landed
-    inside.
+    inside.  Conjugation stops after `max_rounds` rounds; `rounds` says how
+    many ran, and `truncated` is true when new conjugates were still turning
+    up at that point, so the closure may be too small.
     """
     if n < 2:
         raise HypothesisViolation("need n >= 2")
@@ -519,6 +540,8 @@ def dickson_normal_closure(n, q, rng, max_rounds=64):
         "n": n,
         "q": q,
         "seed": seed,
+        "rounds": rounds,
+        "truncated": bool(frontier),
         "closure_order": len(closure),
         "contains_sl_generators": all(m in closure for m in sl_pair),
         "sl_order": sl_order,

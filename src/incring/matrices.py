@@ -8,7 +8,19 @@ realizes the interval convolution
     (A*B)[s1, s2] = sum over t in [s1, s2] of A[s1, t] * B[t, s2]
 
 exactly: transitivity makes the interval membership test implicit.
+
+`mul` and `add` run one integer kernel for every ring.  The ring lifts each
+operand to python ints (`CoeffRing.lift`): Z and Z/n entries already are
+ints, and a Q matrix is scaled by the lcm of its denominators, the
+fraction-free idea of Bareiss.  The kernel sums plain int products per output
+cell, and the ring reduces each cell once (`CoeffRing.lower`): `% n` over
+Z/n, nothing over Z, one `Fraction(v, scale)` over Q.  A product costs one
+int multiply-add per term (s1, t, s2) with both factors stored, plus one
+reduction per nonzero output cell; over Q it adds one lcm and one multiply
+per stored operand entry, instead of a Fraction normalisation per term.
 """
+
+from math import lcm
 
 from .errors import IncompatibleOperands, NotComparable, NotConvex, UnknownElement
 from .prosets import elem_key
@@ -37,17 +49,18 @@ class IncMatrix:
         self.pro = pro
         self.ring = ring
         clean = {}
-        for (s1, s2), v in entries.items():
+        for k, v in entries.items():
             v = ring.canon(v)
             if v == ring.zero:
                 continue
+            s1, s2 = k
             try:
                 comparable = pro.leq(s1, s2)
             except KeyError:
                 comparable = False
             if not comparable:
                 _reject_pair(pro, s1, s2, "entry at (%r, %r) is off the order")
-            clean[(s1, s2)] = v
+            clean[k] = v
         self.entries = clean
 
     # -- access -----------------------------------------------------------
@@ -71,45 +84,50 @@ class IncMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, other):
-        self._compatible(other)
+        if self.pro is not other.pro or self.ring is not other.ring:
+            self._compatible(other)
         ring = self.ring
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = ring.add(out.get(k, ring.zero), v)
-            if w == ring.zero:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return self._wrap(out)
+        a, sa = ring.lift(self.entries)
+        b, sb = ring.lift(other.entries)
+        scale = lcm(sa, sb)
+        if scale == sa:
+            acc = dict(a)
+        else:
+            fa = scale // sa
+            acc = {k: v * fa for k, v in a.items()}
+        fb = scale // sb
+        for k, v in b.items():
+            acc[k] = acc.get(k, 0) + v * fb
+        return _raw(self.pro, self.ring, ring.lower(acc, scale))
 
     def neg(self):
         ring = self.ring
-        return self._wrap({k: ring.neg(v) for k, v in self.entries.items()})
+        return _raw(self.pro, self.ring, {k: ring.neg(v) for k, v in self.entries.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def mul(self, other):
-        self._compatible(other)
+        if self.pro is not other.pro or self.ring is not other.ring:
+            self._compatible(other)
         ring = self.ring
+        a, sa = ring.lift(self.entries)
+        b, sb = ring.lift(other.entries)
         rows = {}
-        for (t, s2), b in other.entries.items():
-            rows.setdefault(t, []).append((s2, b))
-        out = {}
-        for (s1, t), a in self.entries.items():
-            for s2, b in rows.get(t, ()):
+        for (t, s2), y in b.items():
+            rows.setdefault(t, []).append((s2, y))
+        acc = {}
+        for (s1, t), x in a.items():
+            for s2, y in rows.get(t, ()):
                 k = (s1, s2)
-                w = ring.add(out.get(k, ring.zero), ring.mul(a, b))
-                if w == ring.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = w
-        return self._wrap(out)
+                acc[k] = acc.get(k, 0) + x * y
+        return _raw(self.pro, self.ring, ring.lower(acc, sa * sb))
 
     def scalar_mul(self, p):
         ring = self.ring
-        p = ring.canon(p)
-        return self._wrap({k: ring.mul(p, v) for k, v in self.entries.items()})
+        p, zero = ring.canon(p), ring.zero
+        out = {k: w for k, v in self.entries.items() if (w := ring.mul(p, v)) != zero}
+        return _raw(self.pro, self.ring, out)
 
     def power(self, n):
         if n < 0:
@@ -126,14 +144,7 @@ class IncMatrix:
     def transpose(self):
         """Same entries over the opposite proset."""
         opp = self.pro.opposite()
-        return IncMatrix(opp, self.ring, {(b, a): v for (a, b), v in self.entries.items()})
-
-    def _wrap(self, entries):
-        m = object.__new__(IncMatrix)
-        m.pro = self.pro
-        m.ring = self.ring
-        m.entries = {k: v for k, v in entries.items() if v != self.ring.zero}
-        return m
+        return _raw(opp, self.ring, {(b, a): v for (a, b), v in self.entries.items()})
 
     # -- restriction -----------------------------------------------------------
 
@@ -174,6 +185,15 @@ class IncMatrix:
             )
         )
         return "IncMatrix{%s}" % cells
+
+
+def _raw(pro, ring, entries):
+    """An IncMatrix over entries already canonical, nonzero and on the order."""
+    m = object.__new__(IncMatrix)
+    m.pro = pro
+    m.ring = ring
+    m.entries = entries
+    return m
 
 
 def zero(pro, ring):

@@ -60,7 +60,11 @@ def _sorted(xs):
 
 
 class Proset:
-    """Finite preordered set.  Immutable after construction."""
+    """Finite preordered set.  Immutable after construction, so pairs(),
+    opposite(), classes() and the class extension are each computed on
+    first use and kept."""
+
+    _pairs = _opposite = _classes = _class_extension = None
 
     def __init__(self, elements, relations=()):
         self.elements = _sorted(set(elements))
@@ -130,9 +134,11 @@ class Proset:
 
     def pairs(self):
         """All order pairs (s1, s2) with s1 <= s2, diagonal included."""
-        return tuple(
-            (s1, s2) for s1 in self.elements for s2 in _sorted(self._up[s1])
-        )
+        if self._pairs is None:
+            self._pairs = tuple(
+                (s1, s2) for s1 in self.elements for s2 in _sorted(self._up[s1])
+            )
+        return self._pairs
 
     def strict_pairs(self):
         return tuple((a, b) for a, b in self.pairs() if a != b)
@@ -141,14 +147,16 @@ class Proset:
 
     def classes(self):
         """Equivalence classes N_0, canonically ordered."""
-        seen = set()
-        out = []
-        for s in self.elements:
-            if s not in seen:
-                c = self.equiv_class(s)
-                seen |= c
-                out.append(c)
-        return out
+        if self._classes is None:
+            seen = set()
+            out = []
+            for s in self.elements:
+                if s not in seen:
+                    c = self.equiv_class(s)
+                    seen |= c
+                    out.append(c)
+            self._classes = tuple(out)
+        return self._classes
 
     def class_leq(self, c1, c2):
         return self.leq(next(iter(c1)), next(iter(c2)))
@@ -300,8 +308,11 @@ class Proset:
         return Proset(self.elements, rel)
 
     def opposite(self):
-        rel = [(b, a) for a in self.elements for b in self._up[a]]
-        return Proset(self.elements, rel)
+        if self._opposite is None:
+            rel = [(b, a) for a in self.elements for b in self._up[a]]
+            self._opposite = Proset(self.elements, rel)
+            self._opposite._opposite = self
+        return self._opposite
 
     # -- predicates ------------------------------------------------------------
 
@@ -368,6 +379,8 @@ class Proset:
         return dict(assignment) if extend(0) else None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Proset)
             and self.elements == other.elements

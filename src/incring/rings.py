@@ -6,7 +6,7 @@ entries is just ==.  Everything is exact, there is no floating point anywhere.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotInvertible
 
@@ -44,6 +44,19 @@ class CoeffRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    # -- the integer kernel of IncMatrix ------------------------------------
+
+    def lift(self, entries):
+        """(ints, scale): a dict of python ints over the same keys whose
+        values, divided by the int `scale`, are the entries.  Rings whose
+        carrier already is python ints return the dict itself."""
+        return entries, 1
+
+    def lower(self, acc, scale):
+        """Canonical nonzero entries of the int dict `acc` divided by
+        `scale`: one reduction per cell, zero cells dropped."""
+        raise NotImplementedError
 
     # -- units and idempotents --------------------------------------------
 
@@ -91,6 +104,8 @@ class CoeffRing:
         return self.name
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return type(self) is type(other) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
@@ -117,6 +132,9 @@ class IntegerRing(CoeffRing):
 
     def neg(self, a):
         return -a
+
+    def lower(self, acc, scale):
+        return {k: v for k, v in acc.items() if v}
 
     def is_unit(self, a):
         return a == 1 or a == -1
@@ -152,6 +170,8 @@ class RationalRing(CoeffRing):
     one = Fraction(1)
 
     def canon(self, a):
+        if type(a) is Fraction:
+            return a
         if isinstance(a, bool):
             raise TypeError("Q carries Fractions, got %r" % (a,))
         if isinstance(a, (int, Fraction)):
@@ -166,6 +186,19 @@ class RationalRing(CoeffRing):
 
     def neg(self, a):
         return -a
+
+    def lift(self, entries):
+        """Fraction-free form: every entry times the lcm of the
+        denominators."""
+        # pairwise: lcm(*list) over many denominators left memory resident
+        scale = 1
+        for v in entries.values():
+            if scale % v.denominator:
+                scale = lcm(scale, v.denominator)
+        return {k: v.numerator * (scale // v.denominator) for k, v in entries.items()}, scale
+
+    def lower(self, acc, scale):
+        return {k: Fraction(v, scale) for k, v in acc.items() if v}
 
     def is_unit(self, a):
         return a != 0
@@ -184,8 +217,11 @@ class RationalRing(CoeffRing):
     def parse(self, text):
         return Fraction(text)
 
+    # every value random() can draw, built once, so draws share Fractions
+    _draws = tuple(tuple(Fraction(a, b) for b in range(1, 10)) for a in range(-9, 10))
+
     def random(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return self._draws[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1]
 
     def descriptor(self):
         return {"ring": "Q"}
@@ -217,6 +253,10 @@ class ModRing(CoeffRing):
 
     def neg(self, a):
         return (-a) % self.n
+
+    def lower(self, acc, scale):
+        n = self.n
+        return {k: r for k, v in acc.items() if (r := v % n)}
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1

@@ -10,6 +10,7 @@ from incring.glgroup import (
     GroupElement,
     _det_adj,
     certify,
+    class_extension,
     commutator,
     det_block,
     dickson_normal_closure,
@@ -229,6 +230,14 @@ def test_dickson_gl3_f2_closure_is_everything():
     assert rep["closure_order"] == 168
 
 
+def test_dickson_reports_rounds_and_truncation():
+    full = dickson_normal_closure(3, 2, random.Random(0))
+    assert full["truncated"] is False and full["rounds"] >= 1
+    cut = dickson_normal_closure(3, 2, random.Random(0), max_rounds=1)
+    assert cut["rounds"] == 1
+    assert cut["truncated"] is True
+
+
 def test_dickson_rejects_tiny_fields():
     for q in (2, 3):
         with pytest.raises(HypothesisViolation):
@@ -337,6 +346,29 @@ def test_block_inversion_matches_cofactor_oracle():
                                                  for i, r in enumerate(rows)
                                                  for j, c in enumerate(rows)})
                     assert invert(a) == want
+
+
+def test_small_blocks_match_cofactor_oracle_exhaustively():
+    """The closed forms for 1x1, 2x2 and 3x3 blocks on every block over
+    F2 and every 2x2 block over Z/6, and is_invertible on each."""
+    cases = [(PrimeField(2), n) for n in (1, 2, 3)] + [(ModRing(6), 1), (ModRing(6), 2)]
+    for ring, n in cases:
+        pro = two_block(n)
+        rows = sorted(pro.elements, key=elem_key)
+        for flat in itertools.product(list(ring.elements()), repeat=n * n):
+            blk = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            d = cofactor_det(ring, blk)
+            assert det_block(ring, blk) == d
+            a = IncMatrix(pro, ring, {(r, c): blk[i][j] for i, r in enumerate(rows)
+                                      for j, c in enumerate(rows)})
+            assert is_invertible(a) == ring.is_unit(d)
+
+
+def test_class_extension_is_kept_on_the_proset():
+    pro = random_proset(6, random.Random(97))
+    ext = class_extension(pro)
+    assert class_extension(pro) is ext
+    assert sorted(s for c in ext for s in c) == sorted(pro.elements)
 
 
 def test_sixteen_point_block_round_trip():

@@ -2,10 +2,13 @@
 
 The dense multiplier below recomputes products coordinatewise from the
 definition, sharing no code with the sparse routine; it is the oracle the
-arithmetic is judged against.
+arithmetic is judged against.  The term-by-term routines below are the
+ring-op loops the integer kernel replaced: one ring.add and ring.mul per
+term, kept here as a second oracle.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +49,96 @@ def dense_mul(a, b):
             if acc != ring.zero:
                 entries[(s1, s2)] = acc
     return IncMatrix(pro, ring, entries)
+
+
+def term_by_term_mul(a, b):
+    """Reference product: ring ops on every term over the stored entries."""
+    ring = a.ring
+    rows = {}
+    for (t, s2), y in b.entries.items():
+        rows.setdefault(t, []).append((s2, y))
+    out = {}
+    for (s1, t), x in a.entries.items():
+        for s2, y in rows.get(t, ()):
+            out[(s1, s2)] = ring.add(out.get((s1, s2), ring.zero), ring.mul(x, y))
+    return {k: v for k, v in out.items() if v != ring.zero}
+
+
+def term_by_term_add(a, b):
+    ring = a.ring
+    out = dict(a.entries)
+    for k, v in b.entries.items():
+        out[k] = ring.add(out.get(k, ring.zero), v)
+    return {k: v for k, v in out.items() if v != ring.zero}
+
+
+KERNEL_RINGS = (ZZ, QQ, ModRing(6), ModRing(9), PrimeField(2), PrimeField(5))
+
+
+def sevenths_matrix(pro, rng, density=0.7):
+    """Q entries over denominators 7, 11 and 13, so that operands need an
+    lcm lift and products cancel back down when reduced."""
+    entries = {}
+    for p in pro.pairs():
+        if rng.random() < density:
+            entries[p] = Fraction(rng.randint(-30, 30), rng.choice((1, 7, 11, 13, 77, 143)))
+    return IncMatrix(pro, QQ, entries)
+
+
+def test_kernel_matches_term_by_term_reference():
+    rng = random.Random(19)
+    for _ in range(40):
+        pro = random_proset(rng.randrange(1, 9), rng)
+        mats = [(ring, random_matrix(pro, ring, rng), random_matrix(pro, ring, rng))
+                for ring in KERNEL_RINGS]
+        mats.append((QQ, sevenths_matrix(pro, rng), sevenths_matrix(pro, rng)))
+        for ring, a, b in mats:
+            for got, want in ((a.mul(b), term_by_term_mul(a, b)),
+                              (a.add(b), term_by_term_add(a, b)),
+                              (b.mul(a), term_by_term_mul(b, a))):
+                assert got.entries == want
+                assert all(v != ring.zero for v in got.entries.values())
+                assert all(type(v) is type(ring.one) for v in got.entries.values())
+
+
+def test_kernel_reduces_cancelling_cells_to_nothing():
+    pro = Proset([0, 1, 2], [(0, 1), (1, 2)])
+    a = IncMatrix(pro, QQ, {(0, 1): Fraction(1, 7), (0, 2): Fraction(-1, 143)})
+    b = IncMatrix(pro, QQ, {(1, 2): Fraction(7, 143), (2, 2): 1})
+    assert a.mul(b).entries == {}
+    assert a.add(a.neg()).entries == {}
+    z6 = ModRing(6)
+    even = IncMatrix(pro, z6, {(0, 0): 2, (0, 1): 4})
+    three = IncMatrix(pro, z6, {(0, 0): 3, (1, 1): 3})
+    assert even.mul(three).entries == {}
+    assert even.add(even).add(even).entries == {}
+
+
+def test_equal_but_distinct_operands_still_combine():
+    rng = random.Random(29)
+    pro = random_proset(6, rng)
+    twin = Proset(pro.elements, pro.pairs())
+    assert twin == pro and twin is not pro
+    a = random_matrix(pro, PrimeField(5), rng)
+    b = random_matrix(twin, PrimeField(5), rng)
+    b_here = IncMatrix(pro, PrimeField(5), b.entries)
+    assert a.mul(b) == a.mul(b_here)
+    assert a.add(b) == a.add(b_here)
+    with pytest.raises(IncompatibleOperands):
+        a.mul(IncMatrix(pro, ModRing(5), b.entries))
+    with pytest.raises(IncompatibleOperands):
+        IncMatrix(pro, ModRing(5), a.entries).add(b)
+
+
+def test_proset_structure_is_computed_once():
+    pro = random_proset(7, random.Random(37))
+    assert pro.pairs() is pro.pairs()
+    assert pro.classes() is pro.classes()
+    assert pro.opposite() is pro.opposite()
+    assert pro.opposite().opposite() is pro
+    a = random_matrix(pro, ModRing(6), random.Random(37))
+    assert a.transpose().transpose() == a
+    assert a.transpose().transpose().pro is pro
 
 
 def test_mul_matches_dense_reference():

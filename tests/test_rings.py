@@ -1,6 +1,7 @@
 """Coefficient ring axioms and the unit/idempotent helpers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,16 @@ def test_canon_idempotent():
         for _ in range(30):
             a = ring.random(rng)
             assert ring.canon(a) == a
+
+
+def test_q_draws_are_shared_and_keep_the_stream():
+    """QQ.random draws the values Fraction(randint(-9, 9), randint(1, 9))
+    would, from one shared table; QQ.canon keeps a Fraction as it is."""
+    rng, ref = random.Random(13), random.Random(13)
+    draws = [QQ.random(rng) for _ in range(3000)]
+    assert draws == [Fraction(ref.randint(-9, 9), ref.randint(1, 9)) for _ in range(3000)]
+    assert len({id(a) for a in draws}) <= 19 * 9
+    assert all(QQ.canon(a) is a for a in draws)
 
 
 def test_infinite_rings_refuse_enumeration():
