@@ -34,7 +34,6 @@ from .glgroup import (
 from .io import (
     canonical_labels,
     family_from_json,
-    family_to_json,
     lazy_from_json,
     lazy_to_json,
     load_json,
@@ -45,10 +44,9 @@ from .io import (
     proset_from_json,
     proset_to_json,
     ring_from_json,
-    ring_to_json,
 )
 from .lazy import lazy_invert, lazy_mul, qz_window_check
-from .prosets import Proset, elem_key
+from .prosets import elem_key
 from .recovery import BundleAccess, MatrixAccess, recover_poset, scramble
 from .rings import ModRing, PrimeField, QQ, ZZ
 
@@ -98,6 +96,42 @@ def _proset_payload(pro):
         return proset_to_json(pro), None
     relabeled, legend = canonical_labels(pro)
     return proset_to_json(relabeled), legend
+
+
+def _quotient_payload(quo):
+    """The quotient's JSON, its legend, and the name each class gets in the
+    report: c0, c1, ... in canonical order when the labels were replaced."""
+    payload, legend = _proset_payload(quo)
+    order = sorted(quo.elements, key=elem_key)
+    names = {s: "c%d" % i if legend else s for i, s in enumerate(order)}
+    return payload, legend, names
+
+
+def _centrality(m):
+    rep = is_central(m)
+    return {
+        "central": rep.central,
+        "scalar_unit": rep.scalar_test,
+        "hypothesis_ok": rep.hypothesis_ok,
+        "agree": rep.agree,
+    }
+
+
+def _qz_report(fam, ring, window, inner):
+    return qz_window_check(
+        fam, ring,
+        sorted(fam.window(window), key=elem_key),
+        sorted(fam.window(inner), key=elem_key),
+    )
+
+
+def _window_payload(payload, m, family, k):
+    """Add the projection of `m` to the family's k-th window, if asked."""
+    if k is not None:
+        win = family.window(k)
+        payload["window"] = sorted(win, key=elem_key)
+        payload["window_matrix"] = matrix_to_json(m.project(win))
+    return payload
 
 
 def _emit(args, payload):
@@ -175,14 +209,7 @@ def cmd_group(args):
             "inverse": matrix_to_json(g.inverse_matrix),
         })
     if args.action == "central":
-        m = matrix_from_json(_load_ref(args.input))
-        rep = is_central(m)
-        return _emit(args, {
-            "central": rep.central,
-            "scalar_unit": rep.scalar_test,
-            "hypothesis_ok": rep.hypothesis_ok,
-            "agree": rep.agree,
-        })
+        return _emit(args, _centrality(matrix_from_json(_load_ref(args.input))))
     if args.action == "commutator":
         a = matrix_from_json(_load_ref(args.a))
         b = matrix_from_json(_load_ref(args.b))
@@ -208,32 +235,18 @@ def cmd_lazy(args):
     if args.action == "invert":
         lz = lazy_from_json(_load_ref(args.input))
         inv = lazy_invert(lz)
-        payload = {}
-        if inv.finitary is not None:
-            payload["inverse"] = lazy_to_json(inv)
-        if args.window is not None:
-            win = lz.family.window(args.window)
-            payload["window"] = sorted(win, key=elem_key)
-            payload["window_matrix"] = matrix_to_json(inv.project(win))
-        return _emit(args, payload)
+        payload = {} if inv.finitary is None else {"inverse": lazy_to_json(inv)}
+        return _emit(args, _window_payload(payload, inv, lz.family, args.window))
     if args.action == "mul":
         a = lazy_from_json(_load_ref(args.a))
         b = lazy_from_json(_load_ref(args.b))
         prod = lazy_mul(a, b)
-        payload = {}
-        if prod.finitary is not None:
-            payload["product"] = lazy_to_json(prod)
-        if args.window is not None:
-            win = a.family.window(args.window)
-            payload["window"] = sorted(win, key=elem_key)
-            payload["window_matrix"] = matrix_to_json(prod.project(win))
-        return _emit(args, payload)
+        payload = {} if prod.finitary is None else {"product": lazy_to_json(prod)}
+        return _emit(args, _window_payload(payload, prod, a.family, args.window))
     if args.action == "qz":
         fam = _family_arg(args.family)
         ring = _ring_arg(args.ring)
-        window = sorted(fam.window(args.window), key=elem_key)
-        inner = sorted(fam.window(args.inner), key=elem_key)
-        return _emit(args, {"report": qz_window_check(fam, ring, window, inner)})
+        return _emit(args, {"report": _qz_report(fam, ring, args.window, args.inner)})
     raise IncRingError("unknown lazy action %r" % (args.action,))
 
 
@@ -290,12 +303,7 @@ def cmd_functor(args):
         f = map_from_json(_load_ref(args.f))
         g = map_from_json(_load_ref(args.g))
         quo, q1, q2 = pushout(f, g)
-        payload, legend = _proset_payload(quo)
-        order = sorted(quo.elements, key=elem_key)
-        if legend:
-            names = {s: "c%d" % i for i, s in enumerate(order)}
-        else:
-            names = {s: s for s in order}
+        payload, legend, names = _quotient_payload(quo)
         return _emit(args, {
             "pushout": payload,
             "legend": legend,
@@ -306,12 +314,7 @@ def cmd_functor(args):
         f = map_from_json(_load_ref(args.f))
         g = map_from_json(_load_ref(args.g))
         quo, q = coequalizer(f, g)
-        payload, legend = _proset_payload(quo)
-        order = sorted(quo.elements, key=elem_key)
-        if legend:
-            names = {s: "c%d" % i for i, s in enumerate(order)}
-        else:
-            names = {s: s for s in order}
+        payload, legend, names = _quotient_payload(quo)
         return _emit(args, {
             "coequalizer": payload,
             "legend": legend,
@@ -340,20 +343,12 @@ def cmd_experiment(args):
         )
         return _emit(args, {"experiment": "commutators", "seed": seed, "report": rep})
     if kind == "center":
-        m = matrix_from_json(cfg["matrix"])
-        rep = is_central(m)
-        return _emit(args, {"experiment": "center", "seed": seed, "report": {
-            "central": rep.central,
-            "scalar_unit": rep.scalar_test,
-            "hypothesis_ok": rep.hypothesis_ok,
-            "agree": rep.agree,
-        }})
+        rep = _centrality(matrix_from_json(cfg["matrix"]))
+        return _emit(args, {"experiment": "center", "seed": seed, "report": rep})
     if kind == "qz":
         fam = family_from_json(cfg["family"])
         ring = ring_from_json(cfg["ring"])
-        window = sorted(fam.window(int(cfg["window"])), key=elem_key)
-        inner = sorted(fam.window(int(cfg["inner"])), key=elem_key)
-        rep = qz_window_check(fam, ring, window, inner)
+        rep = _qz_report(fam, ring, int(cfg["window"]), int(cfg["inner"]))
         return _emit(args, {"experiment": "qz", "seed": seed, "report": rep})
     raise IncRingError("unknown experiment %r" % (kind,))
 

@@ -31,7 +31,6 @@ __all__ = [
     "induced_hom",
     "compose",
     "identity_map",
-    "functoriality_check",
     "surjectivity_report",
     "coproduct",
     "coproduct_mediator",
@@ -39,7 +38,6 @@ __all__ = [
     "pushout_mediator",
     "coequalizer",
     "equalizer_check",
-    "direct_limit_window_check",
     "generation_decompose",
     "reassemble",
 ]
@@ -155,29 +153,6 @@ def induced_hom(f, matrix):
         if v != matrix.ring.zero:
             entries[(t1, t2)] = v
     return IncMatrix(dom, matrix.ring, entries)
-
-
-def functoriality_check(f, g, ring, samples, rng, random_matrix):
-    """Spot-check that pulling back is a unital ring hom and contravariant in
-    the map: applying the composite equals applying the maps innermost last."""
-    gf = compose(f, g)
-    validate_fcc(gf)
-    checked = failures = 0
-    for _ in range(samples):
-        a = random_matrix(g.codomain, ring, rng)
-        b = random_matrix(g.codomain, ring, rng)
-        lhs = induced_hom(gf, a)
-        rhs = induced_hom(f, induced_hom(g, a))
-        if lhs != rhs:
-            failures += 1
-        ga = induced_hom(g, a)
-        gb = induced_hom(g, b)
-        if induced_hom(g, a.mul(b)) != ga.mul(gb):
-            failures += 1
-        if induced_hom(g, a.add(b)) != ga.add(gb):
-            failures += 1
-        checked += 3
-    return {"samples": samples, "checked": checked, "failures": failures}
 
 
 def surjectivity_report(f, ring):
@@ -474,46 +449,22 @@ def equalizer_check(f1, f2, ring=None, probes=()):
     }
 
 
-def direct_limit_window_check(family, ring, ks, samples, rng, random_matrix):
-    """Windows of a family form a tower of convex inclusions; their induced
-    homs are the window projections.  Checks the tower commutes on random
-    matrices over the largest window."""
-    ks = sorted(ks)
-    windows = [family.window(k) for k in ks]
-    prosets = [family.restrict(w) for w in windows]
-    incs = [
-        FccMap(prosets[i], prosets[i + 1], {s: s for s in prosets[i].elements})
-        for i in range(len(prosets) - 1)
-    ]
-    for inc in incs:
-        validate_fcc(inc)
-    failures = 0
-    for _ in range(samples):
-        top = random_matrix(prosets[-1], ring, rng)
-        for i in range(len(prosets) - 1):
-            direct = top
-            for j in range(len(prosets) - 2, i - 1, -1):
-                direct = induced_hom(incs[j], direct)
-            chain = compose_chain(incs[i:])
-            if direct != induced_hom(chain, top):
-                failures += 1
-    return {"windows": [sorted(w, key=elem_key) for w in windows],
-            "samples": samples, "failures": failures}
-
-
-def compose_chain(maps):
-    out = maps[0]
-    for m in maps[1:]:
-        out = compose(out, m)
-    return out
-
-
 # -- generation by two-class blocks --------------------------------------------------
 
 
 def _class_pairs(pro):
     reps = sorted({min(pro.equiv_class(s), key=elem_key) for s in pro.elements}, key=elem_key)
     return [(a, b) for a in reps for b in reps if a != b]
+
+
+def _cut_pieces(pro, a, b):
+    """The pieces of a cut at the classes of a and b: everything off b's
+    class, everything off a's class, and their overlap."""
+    na, nb = pro.equiv_class(a), pro.equiv_class(b)
+    left = [s for s in pro.elements if s not in nb]
+    right = [s for s in pro.elements if s not in na]
+    mid = [s for s in left if s not in na]
+    return left, right, mid
 
 
 def generation_decompose(pro):
@@ -527,11 +478,7 @@ def generation_decompose(pro):
         sizes = sorted(len(c) for c in classes)
         return {"leaf": True, "proset": pro, "classes": len(classes), "sizes": sizes}
     for a, b in _class_pairs(pro):
-        na = set(pro.equiv_class(a))
-        nb = set(pro.equiv_class(b))
-        left = [s for s in pro.elements if s not in nb]
-        right = [s for s in pro.elements if s not in na]
-        mid = [s for s in pro.elements if s not in na and s not in nb]
+        left, right, mid = _cut_pieces(pro, a, b)
         if not left or not right or not mid:
             continue
         pl, pr, pm = pro.restrict(left), pro.restrict(right), pro.restrict(mid)
@@ -593,12 +540,7 @@ def reassemble(tree):
     if tree["leaf"]:
         return tree["proset"]
     pro = tree["proset"]
-    a, b = tree["cut"]
-    na = set(pro.equiv_class(a))
-    nb = set(pro.equiv_class(b))
-    left = [s for s in pro.elements if s not in nb]
-    right = [s for s in pro.elements if s not in na]
-    mid = [s for s in pro.elements if s not in na and s not in nb]
+    left, right, mid = _cut_pieces(pro, *tree["cut"])
     pl = reassemble(tree["left"])
     pr = reassemble(tree["right"])
     pm = pro.restrict(mid)

@@ -13,7 +13,7 @@ from functools import reduce
 
 from .errors import HypothesisViolation, NotInvertible
 from .matrices import IncMatrix, identity, unit
-from .prosets import Proset, elem_key, two_block
+from .prosets import elem_key, two_block
 from .rings import PrimeField
 
 __all__ = [

@@ -9,7 +9,7 @@ parse/format pair, and relation lists are sorted.
 
 import json
 
-from .lazy import LazyMatrix, lazy_finitary, named_oracle
+from .lazy import lazy_finitary, named_oracle
 from .matrices import IncMatrix
 from .prosets import (
     AugmentedFamily,

@@ -239,10 +239,6 @@ class AglElement:
         return "AglElement(S=%r)" % (sorted(self.aug_set),)
 
 
-def _family_for(base, ring, aug_set):
-    return AugmentedFamily(base, [aug_set]) if aug_set else base
-
-
 def agl_identity(base, ring):
     return AglElement(base, ring, frozenset(), lazy_identity(base, ring))
 
@@ -254,10 +250,10 @@ def agl_embed(g, bigger_set):
     bigger = frozenset(bigger_set)
     if not g.aug_set <= bigger:
         raise IncompatibleOperands("can only embed into a larger augmentation set")
-    fam = _family_for(g.base, g.ring, bigger)
+    out = AglElement(g.base, g.ring, bigger, None)
     off, exc, default = g.body.finitary
-    body = LazyMatrix(fam, g.ring, finitary=(dict(off), dict(exc), default))
-    return AglElement(g.base, g.ring, bigger, body)
+    out.body = LazyMatrix(out.augmented_family(), g.ring, finitary=(dict(off), dict(exc), default))
+    return out
 
 
 def agl_mul(g, h):
@@ -343,11 +339,5 @@ def named_oracle(name, family, ring):
     if name == "upper_ones":
         return lazy_from_oracle(
             family, ring, lambda s1, s2: ring.one if family.leq(s1, s2) else ring.zero
-        )
-    if name == "zig_fence":
-        return lazy_from_oracle(
-            family,
-            ring,
-            lambda s1, s2: ring.one if family.leq(s1, s2) else ring.zero,
         )
     raise ValueError("unknown oracle %r" % (name,))

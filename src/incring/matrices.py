@@ -22,8 +22,8 @@ per stored operand entry, instead of a Fraction normalisation per term.
 
 from math import lcm
 
-from .errors import IncompatibleOperands, NotComparable, NotConvex, UnknownElement
-from .prosets import elem_key
+from .errors import IncompatibleOperands, NotComparable, NotConvex
+from .prosets import _raise_unknown, elem_key
 
 __all__ = [
     "IncMatrix",
@@ -230,9 +230,7 @@ def _reject_pair(pro, s1, s2, message):
     """Raise the typed error for a pair outside the order relation: an
     unknown label first, since (a, z) with z unknown is not a comparability
     question."""
-    for s in (s1, s2):
-        if s not in pro:
-            raise UnknownElement("%r is not an element of the proset" % (s,))
+    _raise_unknown(pro, (s1, s2))
     raise NotComparable(message % (s1, s2))
 
 

@@ -19,8 +19,8 @@ from .errors import (
     InfiniteNeighborhood,
     LocalFinitenessBudgetExceeded,
     NotConnected,
-    NotConvex,
     OverlappingAugmentation,
+    UnknownElement,
 )
 
 __all__ = [
@@ -57,6 +57,64 @@ def elem_key(x):
 
 def _sorted(xs):
     return tuple(sorted(xs, key=elem_key))
+
+
+def _raise_unknown(pro, labels):
+    """Raise UnknownElement for the first label outside a finite proset.
+    Called only once a lookup has failed, so the hot path never tests
+    membership."""
+    if isinstance(pro, Proset):
+        for s in labels:
+            if s not in pro:
+                raise UnknownElement("%r is not an element of the proset" % (s,))
+
+
+def _flood(pro, start, within):
+    """The piece of `within` reached from `start` along comparabilities
+    inside `within`."""
+    leq = pro.leq
+    piece = {start}
+    rest = set(within) - piece
+    stack = [start]
+    while stack:
+        t = stack.pop()
+        reached = [u for u in rest if leq(t, u) or leq(u, t)]
+        rest.difference_update(reached)
+        piece.update(reached)
+        stack.extend(reached)
+    return piece
+
+
+def _is_convex(pro, subset):
+    """Closed under intervals and connected inside the subset."""
+    subset = set(subset)
+    try:
+        for a in subset:
+            for b in subset:
+                if pro.leq(a, b) and not subset.issuperset(pro.interval(a, b)):
+                    return False
+    except KeyError:
+        _raise_unknown(pro, subset)
+        raise
+    return not subset or len(_flood(pro, next(iter(subset)), subset)) == len(subset)
+
+
+def _neighborhood(pro, s, n):
+    """N_n(s); N_0 is the equivalence class, N_1 adds all comparables."""
+    try:
+        reached = set(pro.equiv_class(s))
+        for _ in range(n):
+            grown = set(reached)
+            for t in reached:
+                grown.update(pro.up_set(t))
+                grown.update(pro.down_set(t))
+            if grown == reached:
+                break
+            reached = grown
+    except KeyError:
+        _raise_unknown(pro, (s,))
+        raise
+    return frozenset(reached)
 
 
 class Proset:
@@ -117,20 +175,7 @@ class Proset:
     def equiv_class(self, s):
         return frozenset(t for t in self._up[s] if s in self._up[t])
 
-    def neighborhood(self, s, n):
-        """N_n(s); N_0 is the equivalence class, N_1 adds all comparables."""
-        if n == 0:
-            return self.equiv_class(s)
-        reached = set(self.equiv_class(s))
-        for _ in range(n):
-            grown = set(reached)
-            for t in reached:
-                grown |= self._up[t]
-                grown |= self._down[t]
-            if grown == reached:
-                break
-            reached = grown
-        return frozenset(reached)
+    neighborhood = _neighborhood
 
     def pairs(self):
         """All order pairs (s1, s2) with s1 <= s2, diagonal included."""
@@ -162,23 +207,16 @@ class Proset:
         return self.leq(next(iter(c1)), next(iter(c2)))
 
     def components(self):
-        """Connected components of the comparability graph, as frozensets."""
-        seen = set()
+        """Connected components of the comparability graph, as frozensets,
+        ordered by their least element."""
+        rest = set(self.elements)
         out = []
         for s in self.elements:
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                t = stack.pop()
-                for u in self._up[t] | self._down[t]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            out.append(frozenset(comp))
-        return sorted(out, key=lambda c: elem_key(min(c, key=elem_key)))
+            if s in rest:
+                comp = _flood(self, s, rest)
+                rest -= comp
+                out.append(frozenset(comp))
+        return out
 
     def restrict(self, subset):
         """Induced subproset on the given elements."""
@@ -196,28 +234,7 @@ class Proset:
 
     # -- convexity -----------------------------------------------------------
 
-    def is_convex(self, subset):
-        """Closed under intervals and connected inside the subset."""
-        subset = set(subset)
-        if not subset:
-            return True
-        for a in subset:
-            for b in subset:
-                if self.leq(a, b) and not set(self.interval(a, b)) <= subset:
-                    return False
-        return self._connected_within(subset)
-
-    def _connected_within(self, subset):
-        start = next(iter(subset))
-        comp = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for u in (self._up[t] | self._down[t]) & subset:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        return comp == subset
+    is_convex = _is_convex
 
     def convex_closure(self, subset):
         """Smallest convex superset; the subset must sit in one component.
@@ -232,30 +249,21 @@ class Proset:
         comps = [c for c in self.components() if c & subset]
         if len(comps) > 1:
             raise NotConnected("subset spans %d components" % len(comps))
-        work = set(subset)
-        while True:
-            closed = set(work)
-            for a in work:
-                for b in work:
-                    if self.leq(a, b):
-                        closed |= set(self.interval(a, b))
-            work = closed
-            if self._connected_within(work):
-                return frozenset(work)
-            work |= self._connecting_path(work)
+        work = subset
+        try:
+            while True:
+                work = interval_closure(self, work)
+                piece = _flood(self, min(work, key=elem_key), work)
+                if len(piece) == len(work):
+                    return work
+                work |= self._connecting_path(work, piece)
+        except KeyError:
+            _raise_unknown(self, subset)
+            raise
 
-    def _connecting_path(self, subset):
+    def _connecting_path(self, subset, piece):
         # BFS from one piece of the subset through the ambient comparability
         # graph until another piece is reached; ties broken canonically.
-        start = min(subset, key=elem_key)
-        piece = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for u in (self._up[t] | self._down[t]) & subset:
-                if u not in piece:
-                    piece.add(u)
-                    stack.append(u)
         target = subset - piece
         parent = {s: None for s in piece}
         frontier = _sorted(piece)
@@ -418,7 +426,7 @@ def interval_closure(pro, subset):
     for a in subset:
         for b in subset:
             if pro.leq(a, b):
-                out |= set(pro.interval(a, b))
+                out.update(pro.interval(a, b))
     return frozenset(out)
 
 
@@ -454,19 +462,7 @@ class ProsetFamily:
     def down_set(self, s):
         raise InfiniteNeighborhood("%s has infinite down-sets" % self.kind)
 
-    def neighborhood(self, s, n):
-        if n == 0:
-            return self.equiv_class(s)
-        reached = set(self.equiv_class(s))
-        for _ in range(n):
-            grown = set(reached)
-            for t in reached:
-                grown |= set(self.up_set(t))
-                grown |= set(self.down_set(t))
-            if grown == reached:
-                break
-            reached = grown
-        return frozenset(reached)
+    neighborhood = _neighborhood
 
     def has_finite_neighborhoods(self):
         try:
@@ -482,14 +478,6 @@ class ProsetFamily:
     def windows(self, count, start=1):
         return [self.window(k) for k in range(start, start + count)]
 
-    def covering_window_index(self, subset, limit=64):
-        for k in range(1, limit + 1):
-            if set(subset) <= set(self.window(k)):
-                return k
-        raise LocalFinitenessBudgetExceeded(
-            "no window up to index %d covers %r" % (limit, _sorted(subset))
-        )
-
     def restrict(self, subset):
         subset = list(subset)
         for s in subset:
@@ -498,28 +486,7 @@ class ProsetFamily:
         rel = [(a, b) for a in subset for b in subset if self.leq(a, b)]
         return Proset(subset, rel)
 
-    def window_proset(self, k):
-        return self.restrict(self.window(k))
-
-    def is_convex(self, subset):
-        subset = set(subset)
-        if not subset:
-            return True
-        for a in subset:
-            for b in subset:
-                if self.leq(a, b) and not set(self.interval(a, b)) <= subset:
-                    return False
-        # connectivity along comparabilities inside the subset
-        start = next(iter(subset))
-        comp = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for u in subset:
-                if u not in comp and (self.leq(t, u) or self.leq(u, t)):
-                    comp.add(u)
-                    stack.append(u)
-        return comp == subset
+    is_convex = _is_convex
 
     def is_poset(self):
         return True
@@ -659,13 +626,6 @@ class NStarDivFamily(ProsetFamily):
 
     def down_set(self, s):
         return self.interval(1, s)
-
-    def neighborhood(self, s, n):
-        if n == 0:
-            return frozenset((s,))
-        raise InfiniteNeighborhood(
-            "N_%d(%d) contains every multiple of %d" % (n, s, s)
-        )
 
     def window(self, k):
         return self.interval(1, lcm(*range(1, k + 2)))

@@ -8,15 +8,12 @@ Prosets come from blowing up poset types on the class quotient by all ways
 of assigning class sizes.
 """
 
-import itertools
-
 from .matrices import IncMatrix
 from .prosets import Proset, elem_key
 
 __all__ = [
     "enumerate_posets",
     "enumerate_prosets",
-    "irreducible_posets",
     "irreducible_prosets",
     "random_poset",
     "random_proset",
@@ -88,10 +85,6 @@ def enumerate_prosets(n):
                 if not any(cand.poset_isomorphic(q) for q in out):
                     out.append(cand)
     return out
-
-
-def irreducible_posets(n):
-    return [p for p in enumerate_posets(n) if p.is_irreducible()]
 
 
 def irreducible_prosets(n):

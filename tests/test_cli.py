@@ -81,6 +81,21 @@ def test_domain_error_is_exit_1(capsys):
     assert report["error"]["type"] == "NotInvertible"
 
 
+def test_closure_of_unknown_label_is_exit_1(capsys):
+    pro = json.dumps({"elements": [0, 1, 2], "relations": [[0, 1], [1, 2]]})
+    code, out = run(capsys, "proset", "closure", "--proset", pro, "--subset", "0,9")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "UnknownElement", "message": "9 is not an element of the proset"}
+
+
+def test_project_onto_unknown_label_is_exit_1(capsys):
+    code, out = run(capsys, "algebra", "project", "--a", ID2, "--subset", "0,9")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "UnknownElement", "message": "9 is not an element of the proset"}
+
+
 def test_missing_file_is_exit_1(capsys):
     code, out = run(capsys, "algebra", "mul", "--a", "no_such_file.json",
                     "--b", "no_such_file.json")

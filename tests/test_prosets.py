@@ -1,12 +1,20 @@
 """Preordered sets: closure, intervals, convexity, families, enumeration."""
 
+import itertools
 import random
 
 import pytest
 
-from incring.errors import InfiniteNeighborhood, NotComparable
+from incring.errors import (
+    InfiniteNeighborhood,
+    LocalFinitenessBudgetExceeded,
+    NotComparable,
+    NotConnected,
+    UnknownElement,
+)
 from incring.prosets import (
     AugmentedFamily,
+    CustomFamily,
     NFamily,
     NStarDivFamily,
     Proset,
@@ -25,6 +33,52 @@ from incring.samples import (
 CHAIN3 = Proset([0, 1, 2], [(0, 1), (1, 2)])
 VEE = Proset(["p", "x", "y"], [("p", "x"), ("p", "y")])
 LOOP = Proset([0, 1, 2], [(0, 1), (1, 0), (1, 2)])
+
+# Carriers for the brute-force oracles below: every proset on at most four
+# points, and families whose window(4) holds every interval between points
+# of window(2), since their windows are convex.
+SMALL_PROSETS = [pro for n in range(1, 5) for pro in enumerate_prosets(n)]
+FAMILIES = [
+    NFamily(),
+    ZFamily(),
+    ZigFamily(),
+    NStarDivFamily(),
+    AugmentedFamily(ZigFamily(), [frozenset([0, 3])]),
+    AugmentedFamily(ZFamily(), [frozenset([-1, 1])]),
+]
+
+
+def subsets(xs):
+    return [set(c) for k in range(len(xs) + 1) for c in itertools.combinations(xs, k)]
+
+
+def brute_connected(leq, subset):
+    """The comparability graph on the subset is connected (or empty)."""
+    reach = set(list(subset)[:1])
+    while True:
+        more = {u for u in subset for t in reach if leq(t, u) or leq(u, t)}
+        if more <= reach:
+            return reach == set(subset)
+        reach |= more
+
+
+def brute_convex(leq, carrier, subset):
+    """The definition: every carrier point between two points of the subset
+    lies in it, and the subset is connected."""
+    closed = all(
+        t in subset
+        for a in subset for b in subset for t in carrier
+        if leq(a, t) and leq(t, b)
+    )
+    return closed and brute_connected(leq, subset)
+
+
+def brute_neighborhood(leq, carrier, s, n):
+    """N_0 is the class of s; each step adds every comparable of a point."""
+    reached = {t for t in carrier if leq(s, t) and leq(t, s)}
+    for _ in range(n):
+        reached |= {u for u in carrier for t in reached if leq(t, u) or leq(u, t)}
+    return reached
 
 
 def test_transitive_closure():
@@ -58,6 +112,22 @@ def test_neighborhoods_grow_to_component():
     assert n1 == frozenset(["p", "x", "y"])
     for k in range(1, 4):
         assert VEE.neighborhood("x", k) <= frozenset(VEE.elements)
+    for pro in SMALL_PROSETS:
+        for s in pro.elements:
+            for k in range(4):
+                assert pro.neighborhood(s, k) == brute_neighborhood(pro.leq, pro.elements, s, k)
+    # families with finite up- and down-sets, against a wide enough window
+    for fam in (ZigFamily(), AugmentedFamily(ZigFamily(), [frozenset([0, 3])])):
+        carrier = fam.window(10)
+        for s in fam.window(2):
+            for k in range(3):
+                assert fam.neighborhood(s, k) == brute_neighborhood(fam.leq, carrier, s, k)
+    for fam in (NFamily(), ZFamily(), NStarDivFamily()):
+        assert fam.neighborhood(2, 0) == frozenset([2])
+        with pytest.raises(InfiniteNeighborhood):
+            fam.neighborhood(2, 1)
+    with pytest.raises(UnknownElement):
+        CHAIN3.neighborhood(9, 1)
 
 
 def test_interval_in_reachable_neighborhood():
@@ -71,10 +141,11 @@ def test_interval_in_reachable_neighborhood():
 
 def test_components_are_irreducible():
     rng = random.Random(9)
-    for _ in range(40):
-        pro = random_proset(rng.randrange(1, 8), rng)
+    randoms = [random_proset(rng.randrange(1, 8), rng) for _ in range(40)]
+    for pro in SMALL_PROSETS + randoms:
         comps = pro.components()
         assert sorted(sum((sorted(c) for c in comps), [])) == sorted(pro.elements)
+        assert all(brute_connected(pro.leq, comp) for comp in comps)
         for comp in comps:
             assert pro.restrict(comp).is_irreducible()
             for s in comp:
@@ -92,6 +163,26 @@ def test_convexity():
     assert interval_closure(chain4, [0, 2]) == frozenset([0, 1, 2])
     # convexity also needs connectivity: two far-apart points of a vee
     assert not VEE.is_convex(["x", "y"])
+    for pro in SMALL_PROSETS:
+        comps = pro.components()
+        for sub in subsets(pro.elements):
+            convex = brute_convex(pro.leq, pro.elements, sub)
+            assert pro.is_convex(sub) == convex
+            if sum(1 for c in comps if c & sub) > 1:
+                with pytest.raises(NotConnected):
+                    pro.convex_closure(sub)
+                continue
+            closure = pro.convex_closure(sub)
+            assert sub <= closure
+            assert brute_convex(pro.leq, pro.elements, closure)
+            assert (closure == sub) == convex
+    for fam in FAMILIES:
+        carrier = fam.window(4)
+        for sub in subsets(fam.window(2)):
+            assert fam.is_convex(sub) == brute_convex(fam.leq, carrier, sub)
+    for bad in (lambda: CHAIN3.is_convex([0, 9]), lambda: CHAIN3.convex_closure([0, 9])):
+        with pytest.raises(UnknownElement):
+            bad()
 
 
 def test_augment():
@@ -194,6 +285,31 @@ def test_augmented_family():
     assert set(fam.equiv_class(0)) >= {0, 3}
     win = fam.window(2)
     assert set(win) >= {-2, -1, 0, 1, 2, 3}
+
+
+def test_custom_family_budget():
+    fam = CustomFamily(
+        leq=lambda a, b: a <= b,
+        interval=lambda a, b: range(a, b + 1),
+        window=lambda k: range(-k, k + 1),
+        budget=5,
+    )
+    assert fam.interval(0, 4) == (0, 1, 2, 3, 4)  # exactly the budget
+    assert fam.window(2) == (-2, -1, 0, 1, 2)
+    assert fam.is_convex([0, 1, 2]) and not fam.is_convex([0, 2])
+    with pytest.raises(LocalFinitenessBudgetExceeded):
+        fam.interval(0, 5)
+    with pytest.raises(LocalFinitenessBudgetExceeded):
+        fam.window(3)
+    # a callback that never stops is cut off, not followed
+    endless = CustomFamily(leq=lambda a, b: True, interval=lambda a, b: itertools.count(),
+                           window=lambda k: itertools.count(), budget=100)
+    with pytest.raises(LocalFinitenessBudgetExceeded):
+        endless.interval(0, 1)
+    with pytest.raises(LocalFinitenessBudgetExceeded):
+        endless.window(1)
+    with pytest.raises(ValueError):
+        CustomFamily(leq=lambda a, b: a <= b, interval=lambda a, b: ()).window(1)
 
 
 def test_family_windows_are_convex_and_nested():
