@@ -61,7 +61,16 @@ def _load_ref(text):
     return load_json(text)
 
 
+def _need(value, flag):
+    """The value of an option that argparse leaves optional because only
+    some actions of its subcommand take it."""
+    if value is None:
+        raise IncRingError("this action needs %s" % flag)
+    return value
+
+
 def _ring_arg(text):
+    _need(text, "--ring")
     if text == "Z":
         return ZZ
     if text == "Q":
@@ -74,6 +83,7 @@ def _ring_arg(text):
 
 
 def _family_arg(text):
+    _need(text, "--family")
     if text in ("N", "Z", "Zig"):
         return family_from_json({"family": text})
     if text == "nstar_div":
@@ -153,14 +163,14 @@ def cmd_proset(args):
             fam = _family_arg(args.family)
         else:
             fam = proset_from_json(_load_ref(args.proset))
-        box = fam.interval(_label(args.frm), _label(args.to))
+        box = fam.interval(_label(_need(args.frm, "--from")), _label(_need(args.to, "--to")))
         return _emit(args, {"interval": sorted(box, key=elem_key)})
     if args.action == "window":
         fam = _family_arg(args.family)
-        return _emit(args, {"window": sorted(fam.window(args.k), key=elem_key)})
+        return _emit(args, {"window": sorted(fam.window(_need(args.k, "--k")), key=elem_key)})
     if args.action == "closure":
         pro = proset_from_json(_load_ref(args.proset))
-        subset = [_label(x) for x in args.subset.split(",")]
+        subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
         return _emit(args, {"closure": sorted(pro.convex_closure(subset), key=elem_key)})
     if args.action == "check":
         pro = proset_from_json(_load_ref(args.proset))
@@ -189,7 +199,7 @@ def cmd_algebra(args):
         return _emit(args, {"result": matrix_to_json(out)})
     if args.action == "project":
         a = matrix_from_json(_load_ref(args.a))
-        subset = [_label(x) for x in args.subset.split(",")]
+        subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
         return _emit(args, {"result": matrix_to_json(a.project(subset))})
     raise IncRingError("unknown algebra action %r" % (args.action,))
 
@@ -229,7 +239,7 @@ def cmd_group(args):
 def cmd_lazy(args):
     if args.action == "project":
         lz = lazy_from_json(_load_ref(args.input))
-        win = lz.family.window(args.window)
+        win = lz.family.window(_need(args.window, "--window"))
         return _emit(args, {"window": sorted(win, key=elem_key),
                             "matrix": matrix_to_json(lz.project(win))})
     if args.action == "invert":
@@ -246,7 +256,8 @@ def cmd_lazy(args):
     if args.action == "qz":
         fam = _family_arg(args.family)
         ring = _ring_arg(args.ring)
-        return _emit(args, {"report": _qz_report(fam, ring, args.window, args.inner)})
+        window, inner = _need(args.window, "--window"), _need(args.inner, "--inner")
+        return _emit(args, {"report": _qz_report(fam, ring, window, inner)})
     raise IncRingError("unknown lazy action %r" % (args.action,))
 
 

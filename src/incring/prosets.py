@@ -237,11 +237,18 @@ class Proset:
     is_convex = _is_convex
 
     def convex_closure(self, subset):
-        """Smallest convex superset; the subset must sit in one component.
+        """A convex superset of `subset`, which must sit in one component:
+        its interval closure, grown along canonical shortest paths.
 
-        Interval closure is a single pass over comparable pairs.  If the
-        closure is still disconnected, shortest connecting paths are added in
-        canonical order and the closure rerun, so the choice is deterministic.
+        Interval closure is a single pass over comparable pairs.  While the
+        closure is still disconnected, the shortest path (first in canonical
+        order) from one piece to the rest is added and the closure rerun, so
+        the choice is deterministic.  The result equals the subset exactly
+        when the subset is convex, but it is not always minimal.  No smallest
+        convex superset need exist (with a, b both below c and d, {a, b, c}
+        and {a, b, d} are both minimal), and the canonical path can pass
+        through more than a minimal one needs: in 0 < 1 < 2, 1 < 3 the
+        closure of {2, 3} is all four points, though {1, 2, 3} is convex.
         """
         subset = set(subset)
         if not subset:

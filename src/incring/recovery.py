@@ -1,12 +1,20 @@
 """Recovering the underlying poset from ring access alone.
 
 The ring of a finite poset knows its poset: idempotent classes under
-"difference is nilpotent" biject with subsets of the elements, the atoms of
-the absorption order on classes are the singletons, and products of atom
-representatives see exactly the order relation.  Everything here works
-through a small access protocol (add, mul, neg, zero, one, is_zero plus
-either full enumeration or an idempotent sampler), so the same code runs on
-honest matrices and on scrambled structure-constant bundles.
+"difference is nilpotent" biject with subsets of the elements, and the atoms
+of the absorption order on classes are the singletons.  One representative
+per atom shows the order: s <= t exactly when e.b.f != 0 for some basis
+element b, with e and f representatives of the atoms of s and t.
+Everything here works through a small access protocol (add, mul, neg, zero,
+one, is_zero, basis plus either full enumeration or an idempotent sampler),
+so the same code runs on honest matrices and on scrambled structure-constant
+bundles.
+
+A bundle product runs one integer kernel.  The table's nonzero structure
+constants are lifted to ints once (`CoeffRing.lift`; over Q with one common
+scale); a product then costs one int multiply-add per stored table term with
+both factors nonzero and one reduction per output coordinate
+(`CoeffRing.lower`).
 """
 
 import itertools
@@ -19,7 +27,7 @@ from .errors import (
     RingBooleanPartTooLarge,
     SearchBudgetExceeded,
 )
-from .matrices import IncMatrix, indicator
+from .matrices import IncMatrix, indicator, unit
 from .prosets import Proset, elem_key
 from .glgroup import random_invertible, invert
 
@@ -177,6 +185,9 @@ class MatrixAccess:
             return None
         return len(self.ring.elements()) ** len(self.pro.pairs())
 
+    def basis(self):
+        return [unit(self.pro, self.ring, a, b) for a, b in self.pro.pairs()]
+
     def sample_idempotent(self, rng):
         s = rng.choice(self.pro.elements)
         w = random_invertible(self.pro, self.ring, rng)
@@ -185,14 +196,31 @@ class MatrixAccess:
 
 class BundleAccess:
     """Access through a structure-constant bundle.  Elements are coefficient
-    tuples over an opaque basis; multiplication reads the table."""
+    tuples over an opaque basis; multiplication reads the table.  `table`
+    keeps the parsed dense table, cell [i][j] holding the coordinates of
+    b_i.b_j."""
 
     def __init__(self, bundle, ring, sampler=None):
         self.ring = ring
         self.dim = bundle["dim"]
-        self.table = [
-            [[ring.parse(c) for c in cell] for cell in row] for row in bundle["table"]
-        ]
+        zero = ring.zero
+        self.table = []
+        nonzero = {}
+        for i, row in enumerate(bundle["table"]):
+            parsed = []
+            for j, cell in enumerate(row):
+                cell = [ring.parse(c) for c in cell]
+                parsed.append(cell)
+                for k, c in enumerate(cell):
+                    if c != zero:
+                        nonzero[i, j, k] = c
+            self.table.append(parsed)
+        # the integer kernel of `mul`: per basis pair (i, j), the nonzero
+        # structure constants as (k, c) with c lifted over one common scale
+        lifted, self._scale = ring.lift(nonzero)
+        self._terms = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j, k), c in lifted.items():
+            self._terms[i][j].append((k, c))
         self._one = tuple(ring.parse(c) for c in bundle["one"])
         self._samples = [tuple(ring.parse(c) for c in v) for v in bundle.get("samples", [])]
         self._sampler = sampler
@@ -207,18 +235,25 @@ class BundleAccess:
         return tuple(self.ring.neg(a) for a in x)
 
     def mul(self, x, y):
+        """One int multiply-add per stored table term whose two factors are
+        nonzero, then one reduction per output coordinate."""
         self.ops += 1
-        out = [self.ring.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi == self.ring.zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == self.ring.zero:
-                    continue
-                coeff = self.ring.mul(xi, yj)
-                for k, c in enumerate(self.table[i][j]):
-                    if c != self.ring.zero:
-                        out[k] = self.ring.add(out[k], self.ring.mul(coeff, c))
+        ring = self.ring
+        a, sa = ring.lift({i: v for i, v in enumerate(x) if v})
+        # recovery squares often (idempotence and nilpotence tests): lift once
+        b, sb = (a, sa) if y is x else ring.lift({j: v for j, v in enumerate(y) if v})
+        b = b.items()
+        terms = self._terms
+        acc = [0] * self.dim
+        for i, xi in a.items():
+            row = terms[i]
+            for j, yj in b:
+                p = xi * yj
+                for k, c in row[j]:
+                    acc[k] += p * c
+        out = [ring.zero] * self.dim
+        for k, v in ring.lower(dict(enumerate(acc)), sa * sb * self._scale).items():
+            out[k] = v
         return tuple(out)
 
     def zero(self):
@@ -239,6 +274,13 @@ class BundleAccess:
         if not self.ring.finite:
             return None
         return len(self.ring.elements()) ** self.dim
+
+    def basis(self):
+        ring = self.ring
+        return [
+            tuple(ring.one if k == i else ring.zero for k in range(self.dim))
+            for i in range(self.dim)
+        ]
 
     def sample_idempotent(self, rng):
         if self._sampler is not None:
@@ -412,27 +454,33 @@ def _atoms(access, classes):
     return out
 
 
-def _edges(access, atoms):
+def _edges(access, reps):
+    """Pairs (i, j) of distinct atoms with e.R.f != 0, where e = reps[i] and
+    f = reps[j].  The basis spans R, so e.R.f is spanned by the products
+    e.b.f over basis elements b.  As e and f are conjugates of 1_s and 1_t,
+    e.R.f is nonzero exactly when s <= t."""
+    basis = access.basis()
+    left = []
+    for e in reps:
+        prods = (access.mul(e, b) for b in basis)
+        left.append([x for x in prods if not access.is_zero(x)])
     rel = []
-    for i, c1 in enumerate(atoms):
-        for j, c2 in enumerate(atoms):
-            if i == j:
-                continue
-            if any(
-                not access.is_zero(access.mul(e, f)) for e in c1 for f in c2
-            ):
+    for i, eb in enumerate(left):
+        for j, f in enumerate(reps):
+            if i != j and any(not access.is_zero(access.mul(x, f)) for x in eb):
                 rel.append((i, j))
     return rel
 
 
-def recover_poset(access, mode="auto", budget=10**5, rng=None, stall=60, keep=12):
+def recover_poset(access, mode="auto", budget=10**5, rng=None, stall=60):
     """Reconstruct the poset from ring access alone.
 
     `exhaustive` enumerates every ring element, keeps the idempotents, splits
-    them into difference-nilpotent classes, finds the atoms of the absorption
-    order, and reads the order off atom products.  `witness` draws sampled
-    idempotents (which land in minimal classes), buckets them the same way,
-    and stops once no new class has shown up for `stall` consecutive draws.
+    them into difference-nilpotent classes and finds the atoms of the
+    absorption order.  `witness` draws sampled idempotents (which land in
+    minimal classes), buckets them the same way, and stops once no new class
+    has shown up for `stall` consecutive draws.  Either way the order is read
+    off one representative per atom class (see `_edges`).
     Returns a Proset on fresh integer labels, correct up to isomorphism.
     Raises RingBooleanPartTooLarge when the coefficient ring has idempotents
     besides 0 and 1, since the class count would no longer match the poset.
@@ -448,11 +496,11 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None, stall=60, keep=12
             )
         idems = [x for x in access.elements() if _is_idempotent(access, x)]
         classes = _split_classes(access, idems)
-        atoms = _atoms(access, classes)
+        reps = [c[0] for c in _atoms(access, classes)]
     elif mode == "witness":
         if rng is None:
             rng = random.Random(0)
-        classes = []
+        reps = []
         quiet = 0
         while quiet < stall:
             if access.ops > budget:
@@ -460,21 +508,14 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None, stall=60, keep=12
                     "no stable class structure within %d ring operations" % budget
                 )
             e = access.sample_idempotent(rng)
-            placed = False
-            for cls in classes:
-                if _access_nilpotent(access, _difference(access, e, cls[0])):
-                    if len(cls) < keep:
-                        cls.append(e)
-                    placed = True
-                    break
-            if placed:
+            if any(_access_nilpotent(access, _difference(access, e, r)) for r in reps):
                 quiet += 1
             else:
-                classes.append([e])
+                reps.append(e)
                 quiet = 0
-        atoms = [c for c in classes if not access.is_zero(c[0])]
+        reps = [r for r in reps if not access.is_zero(r)]
     else:
         raise ValueError("mode must be auto, exhaustive, or witness")
 
-    rel = _edges(access, atoms)
-    return Proset(range(len(atoms)), rel)
+    rel = _edges(access, reps)
+    return Proset(range(len(reps)), rel)

@@ -96,6 +96,23 @@ def test_project_onto_unknown_label_is_exit_1(capsys):
         "type": "UnknownElement", "message": "9 is not an element of the proset"}
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["lazy", "qz", "--family", "Zig", "--ring", "gf:2"], "--window"),
+    (["lazy", "qz", "--family", "Zig", "--ring", "gf:2", "--window", "2"], "--inner"),
+    (["lazy", "qz", "--ring", "gf:2", "--window", "2", "--inner", "1"], "--family"),
+    (["lazy", "qz", "--family", "Zig", "--window", "2", "--inner", "1"], "--ring"),
+    (["proset", "window", "--family", "Zig"], "--k"),
+    (["proset", "intervals", "--family", "Zig", "--to", "2"], "--from"),
+])
+def test_missing_option_is_exit_1_without_traceback(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == {
+        "type": "IncRingError", "message": "this action needs " + flag}
+
+
 def test_missing_file_is_exit_1(capsys):
     code, out = run(capsys, "algebra", "mul", "--a", "no_such_file.json",
                     "--b", "no_such_file.json")

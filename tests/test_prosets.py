@@ -160,6 +160,10 @@ def test_convexity():
     assert not chain4.is_convex([0, 2])  # gap at 1
     assert not chain4.is_convex([0, 1, 3])
     assert chain4.convex_closure([0, 2]) == frozenset([0, 1, 2])
+    # not always minimal: the canonical path from 2 to 3 runs through 0
+    fork = Proset(range(4), [(0, 1), (1, 2), (1, 3)])
+    assert fork.is_convex([1, 2, 3])
+    assert fork.convex_closure([2, 3]) == frozenset(range(4))
     assert interval_closure(chain4, [0, 2]) == frozenset([0, 1, 2])
     # convexity also needs connectivity: two far-apart points of a vee
     assert not VEE.is_convex(["x", "y"])
