@@ -43,6 +43,7 @@ from .io import (
     matrix_to_json,
     proset_from_json,
     proset_to_json,
+    require,
     ring_from_json,
 )
 from .lazy import lazy_invert, lazy_mul, qz_window_check
@@ -265,16 +266,16 @@ def cmd_lazy(args):
 
 
 def cmd_recover(args):
-    obj = _load_ref(args.input)
+    obj, path = _load_ref(args.input), "$"
     if "bundle" in obj:
         # accept a whole scramble report, so the two commands pipe together
-        obj = obj["bundle"]
+        obj, path = require(obj, "bundle"), "$.bundle"
     if "table" in obj:
-        ring = ring_from_json({"ring": obj["ring"]})
+        ring = ring_from_json({"ring": require(obj, "ring", path)})
         access = BundleAccess(obj, ring)
     else:
-        pro = proset_from_json(obj["proset"])
-        ring = ring_from_json(obj["ring"])
+        pro = proset_from_json(require(obj, "proset", path), path + ".proset")
+        ring = ring_from_json(require(obj, "ring", path))
         access = MatrixAccess(pro, ring)
     rng = random.Random(args.seed)
     rec = recover_poset(access, mode=args.mode, budget=args.budget, rng=rng)
@@ -339,27 +340,27 @@ def cmd_functor(args):
 
 def cmd_experiment(args):
     cfg = _load_ref(args.config)
+    kind = require(cfg, "experiment")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     rng = random.Random(seed)
-    kind = cfg.get("experiment")
     if kind == "dickson":
-        rep = dickson_normal_closure(int(cfg["n"]), int(cfg["q"]), rng)
+        rep = dickson_normal_closure(int(require(cfg, "n")), int(require(cfg, "q")), rng)
         rep = {k: v for k, v in rep.items() if k != "seed"}
         return _emit(args, {"experiment": "dickson", "seed": seed, "report": rep})
     if kind == "commutators":
-        pro = proset_from_json(cfg["proset"])
-        ring = ring_from_json(cfg["ring"])
+        pro = proset_from_json(require(cfg, "proset"), "$.proset")
+        ring = ring_from_json(require(cfg, "ring"))
         rep = iterated_commutator_sample(
-            pro, ring, int(cfg["depth"]), int(cfg.get("samples", 100)), rng
+            pro, ring, int(require(cfg, "depth")), int(cfg.get("samples", 100)), rng
         )
         return _emit(args, {"experiment": "commutators", "seed": seed, "report": rep})
     if kind == "center":
-        rep = _centrality(matrix_from_json(cfg["matrix"]))
+        rep = _centrality(matrix_from_json(require(cfg, "matrix"), "$.matrix"))
         return _emit(args, {"experiment": "center", "seed": seed, "report": rep})
     if kind == "qz":
-        fam = family_from_json(cfg["family"])
-        ring = ring_from_json(cfg["ring"])
-        rep = _qz_report(fam, ring, int(cfg["window"]), int(cfg["inner"]))
+        fam = family_from_json(require(cfg, "family"), "$.family")
+        ring = ring_from_json(require(cfg, "ring"))
+        rep = _qz_report(fam, ring, int(require(cfg, "window")), int(require(cfg, "inner")))
         return _emit(args, {"experiment": "qz", "seed": seed, "report": rep})
     raise IncRingError("unknown experiment %r" % (kind,))
 

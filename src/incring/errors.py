@@ -28,6 +28,7 @@ __all__ = [
     "NotParallel",
     "NotIrreducible",
     "NoValidCutPair",
+    "MalformedInput",
 ]
 
 
@@ -121,3 +122,8 @@ class NotIrreducible(IncRingError):
 
 class NoValidCutPair(IncRingError):
     """No pair of class representatives yields an irreducible decomposition."""
+
+
+class MalformedInput(IncRingError):
+    """A JSON input lacks a required key or has a non-object where an object
+    belongs."""

@@ -6,6 +6,12 @@ assembled by block back-substitution along a deterministic linear extension
 of the class order.  An n-point class block's determinant and adjugate come
 from one division-free Berkowitz characteristic polynomial and Cayley-Hamilton
 in O(n^4) ring operations, so Z and Z/n work as well as fields.
+
+Closures are breadth-first orbits on one routine, `_orbit`: `mulclose`
+right-multiplies new elements by the kept generators only, about
+|closure| * |generators| products, and Dickson's conjugation orbit runs on
+the same loop.  A commutator carries its inverse from the cached inverses
+of its factors.
 """
 
 from collections import namedtuple
@@ -255,10 +261,6 @@ class GroupElement:
     def mul(self, other):
         return GroupElement(self.matrix.mul(other.matrix))
 
-    def conj(self, other):
-        """self * other * self^-1"""
-        return GroupElement(self.matrix.mul(other.matrix).mul(self.inverse_matrix))
-
     def power(self, n):
         if n >= 0:
             return GroupElement(self.matrix.power(n))
@@ -285,9 +287,11 @@ def certify(matrix):
 
 
 def commutator(g, h):
-    """[g, h] = g h g^-1 h^-1"""
+    """[g, h] = g h g^-1 h^-1, carrying its inverse h g h^-1 g^-1 built from
+    the cached inverses, so an iterated commutator never calls invert."""
     m = g.matrix.mul(h.matrix).mul(g.inverse_matrix).mul(h.inverse_matrix)
-    return GroupElement(m)
+    inv = h.matrix.mul(g.matrix).mul(h.inverse_matrix).mul(g.inverse_matrix)
+    return GroupElement(m, inv)
 
 
 # -- normal subgroups cut out by congruence regions ------------------------------
@@ -434,22 +438,56 @@ def enumerate_invertibles(pro, ring, cap=None):
     return out
 
 
-def mulclose(mats, cap=None):
-    """Closure of a set of matrices under multiplication."""
-    done = set(mats)
-    frontier = list(done)
-    while frontier:
+def _orbit(found, seeds, actions, cap=None, max_rounds=None):
+    """Breadth-first orbit of `seeds` under the maps x -> l*x*r, one per
+    (l, r) in `actions`, where l None means x -> x*r.
+
+    `found` is a dict used as an insertion-ordered set: every element not
+    yet in it joins it in discovery order, and ValueError is raised once it
+    holds more than `cap`.  At most `max_rounds` rounds of actions run.
+    Returns the rounds run and the last frontier, which is empty exactly
+    when the orbit closed."""
+
+    def admit(candidates):
         fresh = []
-        for a in frontier:
-            for b in list(done):
-                for c in (a.mul(b), b.mul(a)):
-                    if c not in done:
-                        done.add(c)
-                        fresh.append(c)
-                        if cap is not None and len(done) > cap:
-                            raise ValueError("closure exceeded %d elements" % cap)
-        frontier = fresh
-    return done
+        for y in candidates:
+            if y not in found:
+                found[y] = None
+                fresh.append(y)
+                if cap is not None and len(found) > cap:
+                    raise ValueError("closure exceeded %d elements" % cap)
+        return fresh
+
+    frontier = admit(seeds)
+    rounds = 0
+    while frontier and (max_rounds is None or rounds < max_rounds):
+        rounds += 1
+        frontier = admit(
+            x.mul(r) if l is None else l.mul(x).mul(r)
+            for x in frontier
+            for l, r in actions
+        )
+    return rounds, frontier
+
+
+def mulclose(mats, cap=None):
+    """Every nonempty product of the matrices `mats`, as a set.
+
+    A semigroup closure, so no input needs to be invertible.  It grows one
+    generator at a time: an input already in the closure is skipped; a new
+    one g seeds {g} and {u*g : u in the closure}, and each new element is
+    right-multiplied by the generators kept so far (the orbit algorithm).
+    That costs about |closure| * |kept generators| products, against the
+    2 |closure|^2 of multiplying new elements by everything found.  Raises
+    ValueError exactly when the closure has more than `cap` elements.
+    """
+    closure, actions = {}, []
+    for g in mats:
+        if g in closure:
+            continue
+        actions.append((None, g))
+        _orbit(closure, [g] + [u.mul(g) for u in closure], actions, cap)
+    return set(closure)
 
 
 # -- commutator sampling -----------------------------------------------------------
@@ -513,20 +551,10 @@ def dickson_normal_closure(n, q, rng, max_rounds=64):
         seed = random_invertible(pro, ring, rng)
         if not is_scalar_unit(seed):
             break
-    orbit = {seed}
-    frontier = [seed]
-    rounds = 0
-    while frontier and rounds < max_rounds:
-        rounds += 1
-        fresh = []
-        for x in frontier:
-            gx = GroupElement(x)
-            for g in gens:
-                y = g.conj(gx).matrix
-                if y not in orbit:
-                    orbit.add(y)
-                    fresh.append(y)
-        frontier = fresh
+    orbit = {}
+    rounds, frontier = _orbit(
+        orbit, [seed], [(g.matrix, g.inverse_matrix) for g in gens], max_rounds=max_rounds
+    )
     closure = mulclose(orbit)
     sl_pair = [
         identity(pro, ring).add(unit(pro, ring, labels[0], labels[1])),

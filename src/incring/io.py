@@ -9,6 +9,7 @@ parse/format pair, and relation lists are sorted.
 
 import json
 
+from .errors import MalformedInput
 from .lazy import lazy_finitary, named_oracle
 from .matrices import IncMatrix
 from .prosets import (
@@ -38,12 +39,24 @@ __all__ = [
     "map_to_json",
     "canonical_labels",
     "load_json",
+    "require",
 ]
 
 
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def require(obj, key, path="$"):
+    """obj[key] for the JSON object `obj` found at `path`; MalformedInput
+    names the missing key, or the non-object value, and its path."""
+    if not isinstance(obj, dict):
+        got = json.dumps(obj, default=str)
+        raise MalformedInput("%s must be a JSON object, got %s" % (path, got))
+    if key not in obj:
+        raise MalformedInput("%s has no key %r" % (path, key))
+    return obj[key]
 
 
 def _maybe_file(obj):
@@ -88,14 +101,14 @@ def _resolve(label, elements):
     raise ValueError("label %r is not an element" % (label,))
 
 
-def proset_from_json(obj):
+def proset_from_json(obj, path="$"):
     obj = _maybe_file(obj)
     if isinstance(obj, dict) and ("family" in obj or "augment" in obj):
-        fam = family_from_json(obj)
+        fam = family_from_json(obj, path)
         if isinstance(fam, Proset):
             return fam
         raise ValueError("an infinite family is not a finite proset")
-    elements = [_label(e) for e in obj["elements"]]
+    elements = [_label(e) for e in require(obj, "elements", path)]
     rel = [
         (_resolve(a, elements), _resolve(b, elements))
         for a, b in obj.get("relations", [])
@@ -119,12 +132,12 @@ def _coerce_int(x):
         return x
 
 
-def family_from_json(obj):
+def family_from_json(obj, path="$"):
     obj = _maybe_file(obj)
     if isinstance(obj, dict) and "augment" in obj:
-        desc = obj["augment"]
-        base = family_from_json(desc["base"])
-        sets = [frozenset(_coerce_int(x) for x in s) for s in desc["sets"]]
+        desc, at = obj["augment"], path + ".augment"
+        base = family_from_json(require(desc, "base", at), at + ".base")
+        sets = [frozenset(_coerce_int(x) for x in s) for s in require(desc, "sets", at)]
         return AugmentedFamily(base, sets)
     if isinstance(obj, dict) and "family" in obj:
         desc = obj["family"]
@@ -140,7 +153,7 @@ def family_from_json(obj):
             m, n = desc["two_block"]
             return two_block(int(m), int(n))
     if isinstance(obj, dict) and "elements" in obj:
-        return proset_from_json(obj)
+        return proset_from_json(obj, path)
     raise ValueError("unrecognized family %r" % (obj,))
 
 
@@ -150,10 +163,10 @@ def family_to_json(fam):
     return fam.descriptor()
 
 
-def matrix_from_json(obj):
+def matrix_from_json(obj, path="$"):
     obj = _maybe_file(obj)
-    pro = proset_from_json(obj["proset"])
-    ring = ring_from_json(obj["ring"])
+    pro = proset_from_json(require(obj, "proset", path), path + ".proset")
+    ring = ring_from_json(require(obj, "ring", path))
     entries = {}
     for s1, s2, v in obj.get("entries", []):
         a, b = _resolve(s1, pro.elements), _resolve(s2, pro.elements)
@@ -175,10 +188,10 @@ def matrix_to_json(m):
     }
 
 
-def lazy_from_json(obj):
+def lazy_from_json(obj, path="$"):
     obj = _maybe_file(obj)
-    fam = family_from_json(obj["family"])
-    ring = ring_from_json(obj["ring"])
+    fam = family_from_json(require(obj, "family", path), path + ".family")
+    ring = ring_from_json(require(obj, "ring", path))
     if "oracle" in obj:
         return named_oracle(obj["oracle"], fam, ring)
     off = {}
@@ -212,14 +225,14 @@ def lazy_to_json(lz):
     }
 
 
-def map_from_json(obj):
+def map_from_json(obj, path="$"):
     from .functor_cat import FccMap
 
     obj = _maybe_file(obj)
-    dom = proset_from_json(obj["domain"])
-    cod = proset_from_json(obj["codomain"])
+    dom = proset_from_json(require(obj, "domain", path), path + ".domain")
+    cod = proset_from_json(require(obj, "codomain", path), path + ".codomain")
     mapping = {}
-    raw = obj["map"]
+    raw = require(obj, "map", path)
     items = raw.items() if isinstance(raw, dict) else raw
     for k, v in items:
         mapping[_resolve(k, dom.elements)] = _resolve(v, cod.elements)

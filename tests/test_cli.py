@@ -113,6 +113,21 @@ def test_missing_option_is_exit_1_without_traceback(capsys, argv, flag):
         "type": "IncRingError", "message": "this action needs " + flag}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lazy", "project", "--input", "{}"], "$ has no key 'family'"),
+    (["algebra", "mul", "--a", "{}", "--b", "{}"], "$ has no key 'proset'"),
+    (["functor", "validate", "--map", "{}"], "$ has no key 'domain'"),
+    (["algebra", "mul", "--a", '{"proset": [0], "ring": "Q"}', "--b", "{}"],
+     "$.proset must be a JSON object, got [0]"),
+])
+def test_malformed_input_is_typed(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
+
+
 def test_missing_file_is_exit_1(capsys):
     code, out = run(capsys, "algebra", "mul", "--a", "no_such_file.json",
                     "--b", "no_such_file.json")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -30,10 +31,11 @@ from incring.glgroup import (
 from incring.matrices import ConvexIdeal, IncMatrix, identity, scalar_diag, unit, zero
 from incring.prosets import Proset, elem_key, two_block
 from incring.rings import ModRing, PrimeField, QQ, ZZ
-from incring.samples import enumerate_posets, random_matrix, random_proset
+from incring.samples import enumerate_posets, enumerate_prosets, random_matrix, random_proset
 
 CHAIN2 = Proset([0, 1], [(0, 1)])
 CHAIN3 = Proset([0, 1, 2], [(0, 1), (1, 2)])
+VEE = Proset(["p", "x", "y"], [("p", "x"), ("p", "y")])
 
 
 def test_frozen_two_by_two():
@@ -125,6 +127,16 @@ def test_commutator_basics():
     assert commutator(g, e).matrix == e.matrix
 
 
+def test_commutator_carries_its_inverse():
+    rng = random.Random(49)
+    for ring in (PrimeField(3), ModRing(9), QQ):
+        for _ in range(20):
+            pro = random_proset(rng.randrange(1, 6), rng)
+            g, h, k = (GroupElement(random_invertible(pro, ring, rng)) for _ in range(3))
+            for c in (commutator(g, h), commutator(commutator(g, h), k)):
+                assert c.inverse_matrix == invert(c.matrix)
+
+
 def test_normal_subgroup_membership():
     # N_{[0,1]}: units congruent to 1 on the [0,1] block
     g = identity(CHAIN3, PrimeField(5)).add(unit(CHAIN3, PrimeField(5), 1, 2, 3))
@@ -197,6 +209,82 @@ def test_mulclose_small_group():
     assert len(closed) == 2
 
 
+def allpairs_mulclose(mats):
+    """Oracle: multiply every new element by everything found so far, on
+    both sides, until nothing new turns up."""
+    done = set(mats)
+    frontier = list(done)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(done):
+                for c in (a.mul(b), b.mul(a)):
+                    if c not in done:
+                        done.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return done
+
+
+def closure_cases():
+    """Seeded small generating lists: random matrices and units, a nilpotent
+    and an idempotent, with duplicates, and the empty list."""
+    rng = random.Random(101)
+    cases = [[]]
+    for ring in (PrimeField(2), PrimeField(3), ModRing(4)):
+        pros = enumerate_prosets(2) + ([CHAIN3, VEE] if ring.n == 2 else [])
+        for pro in pros:
+            strict = pro.strict_pairs()
+            nilpotent = IncMatrix(pro, ring, {p: ring.one for p in strict[:1]})
+            idempotent = unit(pro, ring, pro.elements[0], pro.elements[0])
+            for k in (1, 2, 3):
+                mats = [random_matrix(pro, ring, rng) for _ in range(k)]
+                mats.append(random_invertible(pro, ring, rng))
+                mats.append(nilpotent if k % 2 else idempotent)
+                mats.append(rng.choice(mats))
+                cases.append(mats)
+    return cases
+
+
+def test_mulclose_matches_allpairs_oracle():
+    for mats in closure_cases():
+        closed = mulclose(mats)
+        assert closed == allpairs_mulclose(mats)
+        assert mulclose(list(reversed(mats))) == closed
+        if closed:
+            assert mulclose(mats, cap=len(closed)) == closed
+            with pytest.raises(ValueError):
+                mulclose(mats, cap=len(closed) - 1)
+
+
+def gl_order(n, ring):
+    """|GL_n(Z/p^k)| = p^((k-1) n^2) |GL_n(F_p)|, for the modulus p^k."""
+    p = next(d for d in range(2, ring.n + 1) if ring.n % d == 0)
+    order = 1
+    for i in range(n):
+        order *= p**n - p**i
+    return order * (ring.n // p) ** (n * n)
+
+
+def unit_group_order(pro, ring):
+    """Prod over classes c of |GL_|c|(P)|, times |P| for each pair between
+    distinct classes."""
+    order = 1
+    for c in pro.classes():
+        order *= gl_order(len(c), ring)
+    free = sum(1 for (a, b) in pro.pairs() if b not in pro.equiv_class(a))
+    return order * ring.n**free
+
+
+def test_unit_group_order_oracle():
+    assert unit_group_order(VEE, PrimeField(5)) == 1600
+    assert unit_group_order(CHAIN2, ModRing(9)) == 324
+    for ring in (PrimeField(2), PrimeField(3), ModRing(4)):
+        for n in (1, 2, 3):
+            for pro in enumerate_prosets(n):
+                assert len(enumerate_invertibles(pro, ring)) == unit_group_order(pro, ring)
+
+
 def test_iterated_commutators_vanish_by_depth():
     rng = random.Random(59)
     for depth in (1, 2, 3):
@@ -236,6 +324,17 @@ def test_dickson_reports_rounds_and_truncation():
     cut = dickson_normal_closure(3, 2, random.Random(0), max_rounds=1)
     assert cut["rounds"] == 1
     assert cut["truncated"] is True
+
+
+def test_dickson_reaches_larger_groups():
+    """About 1 s in all by generators; all-pairs closure took 5 s on (2, 7)
+    alone and could not finish (2, 11) or (3, 3)."""
+    t0 = time.perf_counter()
+    for n, q in [(2, 7), (2, 11), (3, 3), (4, 2)]:
+        rep = dickson_normal_closure(n, q, random.Random(0))
+        assert rep["contains_sl_generators"] and rep["order_divisible_by_sl"]
+        assert rep["truncated"] is False
+    assert time.perf_counter() - t0 < 10
 
 
 def test_dickson_rejects_tiny_fields():

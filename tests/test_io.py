@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from incring.errors import MalformedInput
 from incring.functor_cat import FccMap, validate_fcc
 from incring.io import (
     canonical_labels,
@@ -108,3 +109,17 @@ def test_file_path_indirection(tmp_path):
     path.write_text(json.dumps(proset_to_json(CHAIN3)))
     pro = proset_from_json(str(path))
     assert pro.poset_isomorphic(CHAIN3) is not None
+
+
+@pytest.mark.parametrize("parse, obj, message", [
+    (matrix_from_json, {"proset": {"relations": []}, "ring": "Q"}, "$.proset has no key 'elements'"),
+    (lazy_from_json, {"family": {"augment": {"sets": []}}, "ring": "Q"},
+     "$.family.augment has no key 'base'"),
+    (map_from_json, {"domain": {"elements": [0]}, "codomain": "x"},
+     '$.codomain must be a JSON object, got "x"'),
+    (proset_from_json, [0, 1], "$ must be a JSON object, got [0, 1]"),
+])
+def test_malformed_input_names_its_path(parse, obj, message):
+    with pytest.raises(MalformedInput) as err:
+        parse(obj)
+    assert str(err.value) == message
