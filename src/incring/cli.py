@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import __version__
-from .errors import IncRingError
+from .errors import IncRingError, UnknownElement
 from .functor_cat import (
     coequalizer,
     compose,
@@ -164,8 +164,11 @@ def cmd_proset(args):
             fam = _family_arg(args.family)
         else:
             fam = proset_from_json(_load_ref(args.proset))
-        box = fam.interval(_label(_need(args.frm, "--from")), _label(_need(args.to, "--to")))
-        return _emit(args, {"interval": sorted(box, key=elem_key)})
+        ends = [_label(_need(args.frm, "--from")), _label(_need(args.to, "--to"))]
+        for s in ends:
+            if s not in fam:
+                raise UnknownElement("%r is not an element of %r" % (s, fam))
+        return _emit(args, {"interval": sorted(fam.interval(*ends), key=elem_key)})
     if args.action == "window":
         fam = _family_arg(args.family)
         return _emit(args, {"window": sorted(fam.window(_need(args.k, "--k")), key=elem_key)})

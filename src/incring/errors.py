@@ -61,7 +61,8 @@ class NotComparable(IncRingError):
 
 
 class UnknownElement(IncRingError):
-    """A matrix entry or unit named an element outside the proset."""
+    """A matrix entry, unit or label named an element outside the proset or
+    family."""
 
 
 class NotConvex(IncRingError):
@@ -125,5 +126,6 @@ class NoValidCutPair(IncRingError):
 
 
 class MalformedInput(IncRingError):
-    """A JSON input lacks a required key or has a non-object where an object
-    belongs."""
+    """A JSON input lacks a required key, has a value of the wrong shape (a
+    non-object where an object belongs, or an array of the wrong length), or
+    names no known ring or family."""

@@ -9,7 +9,7 @@ parse/format pair, and relation lists are sorted.
 
 import json
 
-from .errors import MalformedInput
+from .errors import MalformedInput, UnknownElement
 from .lazy import lazy_finitary, named_oracle
 from .matrices import IncMatrix
 from .prosets import (
@@ -59,6 +59,23 @@ def require(obj, key, path="$"):
     return obj[key]
 
 
+def _shaped(value, path, length=None):
+    """`value`, found at `path`, if it is a JSON array (of `length` items,
+    when given); MalformedInput names the path and the value otherwise."""
+    if isinstance(value, list) and length in (None, len(value)):
+        return value
+    what = "a JSON array" if length is None else "a JSON array of %d items" % length
+    raise MalformedInput("%s must be %s, got %s" % (path, what, json.dumps(value, default=str)))
+
+
+def _rows(obj, key, path, length=None):
+    """The items of the optional array obj[key], each a JSON array (of
+    `length` items, when given)."""
+    at = "%s.%s" % (path, key)
+    items = _shaped(obj.get(key, []), at)
+    return [_shaped(r, "%s[%d]" % (at, i), length) for i, r in enumerate(items)]
+
+
 def _maybe_file(obj):
     if isinstance(obj, str) and obj.endswith(".json"):
         return load_json(obj)
@@ -77,7 +94,7 @@ def ring_from_json(obj):
         return ModRing(int(obj["mod"]))
     if isinstance(obj, dict) and "gf" in obj:
         return PrimeField(int(obj["gf"]))
-    raise ValueError("unrecognized ring %r" % (obj,))
+    raise MalformedInput("unrecognized ring %r" % (obj,))
 
 
 def ring_to_json(ring):
@@ -98,7 +115,7 @@ def _resolve(label, elements):
     by_str = {str(e): e for e in elements}
     if str(label) in by_str:
         return by_str[str(label)]
-    raise ValueError("label %r is not an element" % (label,))
+    raise UnknownElement("label %r is not an element" % (label,))
 
 
 def proset_from_json(obj, path="$"):
@@ -107,11 +124,11 @@ def proset_from_json(obj, path="$"):
         fam = family_from_json(obj, path)
         if isinstance(fam, Proset):
             return fam
-        raise ValueError("an infinite family is not a finite proset")
-    elements = [_label(e) for e in require(obj, "elements", path)]
+        raise MalformedInput("%s is an infinite family, not a finite proset" % path)
+    elements = [_label(e) for e in _shaped(require(obj, "elements", path), path + ".elements")]
     rel = [
         (_resolve(a, elements), _resolve(b, elements))
-        for a, b in obj.get("relations", [])
+        for a, b in _rows(obj, "relations", path, 2)
     ]
     return Proset(elements, rel)
 
@@ -137,7 +154,8 @@ def family_from_json(obj, path="$"):
     if isinstance(obj, dict) and "augment" in obj:
         desc, at = obj["augment"], path + ".augment"
         base = family_from_json(require(desc, "base", at), at + ".base")
-        sets = [frozenset(_coerce_int(x) for x in s) for s in require(desc, "sets", at)]
+        require(desc, "sets", at)
+        sets = [frozenset(_coerce_int(x) for x in s) for s in _rows(desc, "sets", at)]
         return AugmentedFamily(base, sets)
     if isinstance(obj, dict) and "family" in obj:
         desc = obj["family"]
@@ -150,11 +168,11 @@ def family_from_json(obj, path="$"):
         if isinstance(desc, dict) and desc.get("nstar_div"):
             return NStarDivFamily()
         if isinstance(desc, dict) and "two_block" in desc:
-            m, n = desc["two_block"]
+            m, n = _shaped(desc["two_block"], path + ".family.two_block", 2)
             return two_block(int(m), int(n))
     if isinstance(obj, dict) and "elements" in obj:
         return proset_from_json(obj, path)
-    raise ValueError("unrecognized family %r" % (obj,))
+    raise MalformedInput("unrecognized family %r" % (obj,))
 
 
 def family_to_json(fam):
@@ -168,7 +186,7 @@ def matrix_from_json(obj, path="$"):
     pro = proset_from_json(require(obj, "proset", path), path + ".proset")
     ring = ring_from_json(require(obj, "ring", path))
     entries = {}
-    for s1, s2, v in obj.get("entries", []):
+    for s1, s2, v in _rows(obj, "entries", path, 3):
         a, b = _resolve(s1, pro.elements), _resolve(s2, pro.elements)
         entries[(a, b)] = ring.parse(str(v))
     return IncMatrix(pro, ring, entries)
@@ -195,10 +213,10 @@ def lazy_from_json(obj, path="$"):
     if "oracle" in obj:
         return named_oracle(obj["oracle"], fam, ring)
     off = {}
-    for s1, s2, v in obj.get("off_diagonal", []):
+    for s1, s2, v in _rows(obj, "off_diagonal", path, 3):
         off[(_coerce_int(s1), _coerce_int(s2))] = ring.parse(str(v))
     exc = {}
-    for s, v in obj.get("diagonal_exceptions", []):
+    for s, v in _rows(obj, "diagonal_exceptions", path, 2):
         exc[_coerce_int(s)] = ring.parse(str(v))
     default = ring.parse(str(obj.get("diagonal_default", "1")))
     return lazy_finitary(fam, ring, off_diag=off, exceptions=exc, default=default)
@@ -233,8 +251,7 @@ def map_from_json(obj, path="$"):
     cod = proset_from_json(require(obj, "codomain", path), path + ".codomain")
     mapping = {}
     raw = require(obj, "map", path)
-    items = raw.items() if isinstance(raw, dict) else raw
-    for k, v in items:
+    for k, v in raw.items() if isinstance(raw, dict) else _rows(obj, "map", path, 2):
         mapping[_resolve(k, dom.elements)] = _resolve(v, cod.elements)
     return FccMap(dom, cod, mapping)
 

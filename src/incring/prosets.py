@@ -454,6 +454,9 @@ class ProsetFamily:
     def contains(self, s):
         raise NotImplementedError
 
+    def __contains__(self, s):
+        return self.contains(s)
+
     def leq(self, s1, s2):
         raise NotImplementedError
 

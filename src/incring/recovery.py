@@ -6,9 +6,13 @@ of the absorption order on classes are the singletons.  One representative
 per atom shows the order: s <= t exactly when e.b.f != 0 for some basis
 element b, with e and f representatives of the atoms of s and t.
 Everything here works through a small access protocol (add, mul, neg, zero,
-one, is_zero, basis plus either full enumeration or an idempotent sampler),
-so the same code runs on honest matrices and on scrambled structure-constant
-bundles.
+one, is_zero, basis, dim plus either full enumeration or an idempotent
+sampler), so the same code runs on honest matrices and on scrambled
+structure-constant bundles.
+
+A recovered poset carries a certificate: M(P) is free on one basis element
+per order pair (the interval basis), so the atoms found are all the points
+exactly when the order they induce has `dim` pairs.
 
 A bundle product runs one integer kernel.  The table's nonzero structure
 constants are lifted to ints once (`CoeffRing.lift`; over Q with one common
@@ -21,6 +25,7 @@ import itertools
 import random
 
 from .errors import (
+    HypothesisViolation,
     NotIdempotent,
     NotInDiagonalSupport,
     PosetRequired,
@@ -150,6 +155,7 @@ class MatrixAccess:
             raise PosetRequired("poset recovery needs a poset")
         self.pro = pro
         self.ring = ring
+        self.dim = len(pro.pairs())
         self.ops = 0
 
     def add(self, x, y):
@@ -183,7 +189,7 @@ class MatrixAccess:
     def carrier_size(self):
         if not self.ring.finite:
             return None
-        return len(self.ring.elements()) ** len(self.pro.pairs())
+        return len(self.ring.elements()) ** self.dim
 
     def basis(self):
         return [unit(self.pro, self.ring, a, b) for a, b in self.pro.pairs()]
@@ -434,88 +440,79 @@ def _atoms(access, classes):
     nonzero = [c for c in classes if not access.is_zero(c[0])]
 
     def below(c1, c2):
-        for e in c1:
-            for f in c2:
-                if access.mul(e, f) == e and access.mul(f, e) == e:
-                    return True
-        return False
+        return any(access.mul(e, f) == e and access.mul(f, e) == e for e in c1 for f in c2)
 
-    out = []
-    for c in nonzero:
-        minimal = True
-        for other in nonzero:
-            if other is c:
-                continue
-            if below(other, c):
-                minimal = False
-                break
-        if minimal:
-            out.append(c)
-    return out
+    return [c for c in nonzero if not any(o is not c and below(o, c) for o in nonzero)]
 
 
-def _edges(access, reps):
-    """Pairs (i, j) of distinct atoms with e.R.f != 0, where e = reps[i] and
-    f = reps[j].  The basis spans R, so e.R.f is spanned by the products
-    e.b.f over basis elements b.  As e and f are conjugates of 1_s and 1_t,
-    e.R.f is nonzero exactly when s <= t."""
-    basis = access.basis()
-    left = []
-    for e in reps:
-        prods = (access.mul(e, b) for b in basis)
-        left.append([x for x in prods if not access.is_zero(x)])
-    rel = []
-    for i, eb in enumerate(left):
-        for j, f in enumerate(reps):
-            if i != j and any(not access.is_zero(access.mul(x, f)) for x in eb):
-                rel.append((i, j))
+def _add_atom(access, basis, atoms, e):
+    """Append atom representative `e` (with its nonzero products e.b) to
+    `atoms`; return the pairs (i, j), atom i below atom j, between it and the
+    atoms before it.  e.R.f is spanned by the products e.b.f over the basis,
+    and as e and f are conjugates of 1_s and 1_t, it is nonzero exactly when
+    s <= t."""
+    def meets(left, f):
+        return any(not access.is_zero(access.mul(x, f)) for x in left)
+
+    eb = [x for x in (access.mul(e, b) for b in basis) if not access.is_zero(x)]
+    k = len(atoms)
+    rel = [(k, j) for j, (f, _) in enumerate(atoms) if meets(eb, f)]
+    rel += [(j, k) for j, (_, fb) in enumerate(atoms) if meets(fb, e)]
+    atoms.append((e, eb))
     return rel
 
 
-def recover_poset(access, mode="auto", budget=10**5, rng=None, stall=60):
+def recover_poset(access, mode="auto", budget=10**5, rng=None):
     """Reconstruct the poset from ring access alone.
 
     `exhaustive` enumerates every ring element, keeps the idempotents, splits
     them into difference-nilpotent classes and finds the atoms of the
     absorption order.  `witness` draws sampled idempotents (which land in
-    minimal classes), buckets them the same way, and stops once no new class
-    has shown up for `stall` consecutive draws.  Either way the order is read
-    off one representative per atom class (see `_edges`).
-    Returns a Proset on fresh integer labels, correct up to isomorphism.
-    Raises RingBooleanPartTooLarge when the coefficient ring has idempotents
-    besides 0 and 1, since the class count would no longer match the poset.
+    minimal classes) and buckets them the same way.  The order is read off
+    each atom as it turns up (see `_add_atom`).
+
+    The atoms found span at most `access.dim` order pairs, exactly `dim` when
+    they are all the points.  Witness mode draws until that holds and raises
+    SearchBudgetExceeded past `budget` ring operations, never returning a
+    short poset; a count that ends anywhere else raises HypothesisViolation,
+    as the ring is no incidence ring of a poset.  Returns a Proset on fresh
+    integer labels, correct up to isomorphism.  Raises RingBooleanPartTooLarge
+    when the coefficient ring has idempotents besides 0 and 1, since the class
+    count would no longer match the poset.
     """
     _require_boolean_part_01(access.ring)
     size = access.carrier_size()
     if mode == "auto":
         mode = "exhaustive" if size is not None and size <= 2**14 else "witness"
+    basis, atoms, rel = access.basis(), [], []
+
+    def tally():
+        return "found %d atom classes with %d order pairs, against dimension %d" % (
+            len(atoms), len(atoms) + len(rel), access.dim)
+
     if mode == "exhaustive":
         if size is None or size > 2**14:
-            raise SearchBudgetExceeded(
-                "carrier too large to enumerate (%s elements)" % (size,)
-            )
+            raise SearchBudgetExceeded("carrier too large to enumerate (%s elements)" % (size,))
         idems = [x for x in access.elements() if _is_idempotent(access, x)]
-        classes = _split_classes(access, idems)
-        reps = [c[0] for c in _atoms(access, classes)]
+        for cls in _atoms(access, _split_classes(access, idems)):
+            rel += _add_atom(access, basis, atoms, cls[0])
     elif mode == "witness":
         if rng is None:
             rng = random.Random(0)
-        reps = []
-        quiet = 0
-        while quiet < stall:
+        reps = []  # one per class drawn, the zero class included
+        while len(atoms) + len(rel) < access.dim:
             if access.ops > budget:
                 raise SearchBudgetExceeded(
-                    "no stable class structure within %d ring operations" % budget
-                )
+                    "budget of %d ring operations spent: %s" % (budget, tally()))
             e = access.sample_idempotent(rng)
             if any(_access_nilpotent(access, _difference(access, e, r)) for r in reps):
-                quiet += 1
-            else:
-                reps.append(e)
-                quiet = 0
-        reps = [r for r in reps if not access.is_zero(r)]
+                continue
+            reps.append(e)
+            if not access.is_zero(e):
+                rel += _add_atom(access, basis, atoms, e)
     else:
         raise ValueError("mode must be auto, exhaustive, or witness")
 
-    rel = _edges(access, reps)
-    return Proset(range(len(reps)), rel)
+    if len(atoms) + len(rel) != access.dim:
+        raise HypothesisViolation("%s: not the incidence ring of a poset" % tally())
+    return Proset(range(len(atoms)), rel)

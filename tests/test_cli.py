@@ -119,6 +119,17 @@ def test_missing_option_is_exit_1_without_traceback(capsys, argv, flag):
     (["functor", "validate", "--map", "{}"], "$ has no key 'domain'"),
     (["algebra", "mul", "--a", '{"proset": [0], "ring": "Q"}', "--b", "{}"],
      "$.proset must be a JSON object, got [0]"),
+    (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": "Q", "entries": [5]}',
+      "--b", "{}"], "$.entries[0] must be a JSON array of 3 items, got 5"),
+    (["proset", "check", "--proset", '{"elements": 5}'], "$.elements must be a JSON array, got 5"),
+    (["proset", "check", "--proset", '{"elements": [0], "relations": [[0]]}'],
+     "$.relations[0] must be a JSON array of 2 items, got [0]"),
+    (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": "Q", "entries": [[0, 0]]}',
+      "--b", "{}"], "$.entries[0] must be a JSON array of 3 items, got [0, 0]"),
+    (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": "X"}', "--b", "{}"],
+     "unrecognized ring 'X'"),
+    (["proset", "window", "--family", '{"family": "Q"}', "--k", "2"],
+     "unrecognized family {'family': 'Q'}"),
 ])
 def test_malformed_input_is_typed(capsys, argv, message):
     code = main(argv)
@@ -126,6 +137,24 @@ def test_malformed_input_is_typed(capsys, argv, message):
     assert code == 1
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "N", "--from", "-1", "--to", "2"], "-1 is not an element of family N"),
+    (["--family", "nstar_div", "--from", "0", "--to", "4"],
+     "0 is not an element of family NStarDiv"),
+    (["--family", "nstar_div", "--from", "3", "--to", "1e9"],
+     "'1e9' is not an element of family NStarDiv"),
+    (["--family", "N", "--from", "0", "--to", "x"], "'x' is not an element of family N"),
+    (["--proset", '{"elements": [0, 1], "relations": [[0, 7]]}', "--from", "0", "--to", "1"],
+     "label 7 is not an element"),
+])
+def test_unknown_label_is_typed(capsys, argv, message):
+    code = main(["proset", "intervals"] + argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == {"type": "UnknownElement", "message": message}
 
 
 def test_missing_file_is_exit_1(capsys):
@@ -162,6 +191,40 @@ def test_recover_accepts_whole_scramble_report(capsys, tmp_path):
     assert code == 0
     recovered = proset_from_json(json.loads(out)["recovered"])
     assert recovered.poset_isomorphic(CHAIN3) is not None
+
+
+def test_witness_recover_refuses_a_short_poset(capsys):
+    """Six samples of three 2-chains never show one point, so witness mode
+    runs out of budget rather than print a 5-point poset."""
+    pro = json.dumps({"elements": [0, 1, 2, 3, 4, 5], "relations": [[0, 1], [2, 3], [4, 5]]})
+    code, out = run(capsys, "scramble", "--proset", pro, "--ring", "gf:2", "--seed", "3",
+                    "--samples", "6")
+    assert code == 0
+    code = main(["recover", "--input", out, "--mode", "witness"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"]["type"] == "SearchBudgetExceeded"
+
+
+@pytest.mark.parametrize("mode, error", [
+    ("exhaustive", "HypothesisViolation"),
+    ("witness", "SearchBudgetExceeded"),
+])
+def test_recover_refuses_a_non_incidence_ring(capsys, mode, error):
+    """GF(4) as a bundle over F2: one idempotent class against dimension 2."""
+    gf4 = json.dumps({
+        "ring": {"gf": 2},
+        "dim": 2,
+        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "1"]]],
+        "one": ["1", "0"],
+        "samples": [["1", "0"]],
+    })
+    code = main(["recover", "--input", gf4, "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"]["type"] == error
 
 
 def test_emitted_proset_reads_back(capsys, tmp_path):

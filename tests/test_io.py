@@ -36,7 +36,7 @@ def test_ring_round_trip():
         again = ring_from_json(ring_to_json(ring))
         assert again == ring
     assert ring_from_json({"ring": {"gf": 5}}) == PrimeField(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         ring_from_json({"field": 5})
 
 
@@ -118,6 +118,18 @@ def test_file_path_indirection(tmp_path):
     (map_from_json, {"domain": {"elements": [0]}, "codomain": "x"},
      '$.codomain must be a JSON object, got "x"'),
     (proset_from_json, [0, 1], "$ must be a JSON object, got [0, 1]"),
+    (lazy_from_json, {"family": {"family": "Z"}, "ring": "Q", "off_diagonal": [[0, 1]]},
+     "$.off_diagonal[0] must be a JSON array of 3 items, got [0, 1]"),
+    (lazy_from_json, {"family": {"family": "Z"}, "ring": "Q", "diagonal_exceptions": {}},
+     "$.diagonal_exceptions must be a JSON array, got {}"),
+    (map_from_json, {"domain": {"elements": [0]}, "codomain": {"elements": [0]}, "map": [[0]]},
+     "$.map[0] must be a JSON array of 2 items, got [0]"),
+    (family_from_json, {"augment": {"base": {"family": "Z"}, "sets": [0]}},
+     "$.augment.sets[0] must be a JSON array, got 0"),
+    (family_from_json, {"family": {"two_block": [1, 2, 3]}},
+     "$.family.two_block must be a JSON array of 2 items, got [1, 2, 3]"),
+    (matrix_from_json, {"proset": {"family": "Zig"}, "ring": "Q"},
+     "$.proset is an infinite family, not a finite proset"),
 ])
 def test_malformed_input_names_its_path(parse, obj, message):
     with pytest.raises(MalformedInput) as err:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from incring.errors import (
+    HypothesisViolation,
     NotIdempotent,
     PosetRequired,
     RingBooleanPartTooLarge,
@@ -30,6 +31,16 @@ from incring.samples import enumerate_posets
 
 CHAIN3 = Proset([0, 1, 2], [(0, 1), (1, 2)])
 VEE = Proset(["p", "x", "y"], [("p", "x"), ("p", "y")])
+# 8 disjoint 2-chains: 16 points, 24 order pairs
+CHAINS16 = Proset(range(16), [(2 * i, 2 * i + 1) for i in range(8)])
+# GF(4) = F2[w]/(w^2 + w + 1) on the basis 1, w: a field, so no incidence ring
+GF4 = {
+    "ring": {"gf": 2},
+    "dim": 2,
+    "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "1"]]],
+    "one": ["1", "0"],
+    "samples": [["1", "0"]],
+}
 
 
 def dense_mul(access, x, y):
@@ -158,6 +169,12 @@ def test_minimal_class_product_law():
                 everywhere = all(not p.is_zero() for p in prods)
                 assert exists == pro.leq(s1, s2)
                 assert everywhere == (s1 == s2)
+
+
+def test_access_classes_share_dim():
+    assert MatrixAccess(VEE, PrimeField(2)).dim == len(VEE.pairs()) == 5
+    bundle, access = scramble(VEE, PrimeField(2), seed=1)
+    assert access.dim == BundleAccess(bundle, PrimeField(2)).dim == 5
 
 
 def test_matrix_access_counts_operations():
@@ -353,3 +370,51 @@ def test_kernel_keeps_operation_counts():
     assert rec_fast.elements == rec_slow.elements
     assert rec_fast.pairs() == rec_slow.pairs()
     assert rec_fast.poset_isomorphic(VEE) is not None
+
+
+def recover_chains16(seed):
+    _, access = scramble(CHAINS16, PrimeField(2), seed=seed)
+    return recover_poset(access, mode="witness", budget=10**5, rng=random.Random(seed + 1))
+
+
+def test_witness_finds_every_point_over_a_seed_sweep():
+    """Every point of 8 disjoint 2-chains comes back, whichever classes the
+    sampler favours, because witness mode stops on the pair count only."""
+    for seed in range(40):
+        rec = recover_chains16(seed)
+        assert len(rec.elements) == 16
+        assert rec.poset_isomorphic(CHAINS16) is not None
+
+
+@pytest.mark.parametrize("seed", [2, 30])
+def test_witness_keeps_a_rarely_drawn_point(seed):
+    """Here one class turns up only after more than 60 fruitless draws in a
+    row; a stall rule returned 15 points with 22 pairs against dimension 24."""
+    rec = recover_chains16(seed)
+    assert len(rec.elements) == 16 and len(rec.pairs()) == 24
+    assert rec.poset_isomorphic(CHAINS16) is not None
+
+
+def test_witness_never_returns_a_short_poset():
+    """Six samples of three 2-chains miss one point for good: witness mode
+    spends its budget and says what it found, instead of returning 5 points."""
+    pro = Proset(range(6), [(0, 1), (2, 3), (4, 5)])
+    bundle, _ = scramble(pro, PrimeField(2), seed=3, samples=6)
+    access = BundleAccess(bundle, PrimeField(2))
+    with pytest.raises(SearchBudgetExceeded) as err:
+        recover_poset(access, mode="witness", budget=10**4)
+    assert access.ops > 10**4
+    assert str(err.value) == (
+        "budget of 10000 ring operations spent: found 5 atom classes with 7 "
+        "order pairs, against dimension 9")
+
+
+def test_non_incidence_ring_is_refused():
+    """GF(4) has one nonzero idempotent class, so one point and one pair
+    against dimension 2: exhaustive mode sees the whole carrier and calls
+    the hypothesis false, witness mode can only run out of budget."""
+    ring = PrimeField(2)
+    with pytest.raises(HypothesisViolation):
+        recover_poset(BundleAccess(GF4, ring), mode="exhaustive")
+    with pytest.raises(SearchBudgetExceeded):
+        recover_poset(BundleAccess(GF4, ring), mode="witness", budget=10**3)
