@@ -32,6 +32,7 @@ from .glgroup import (
     random_invertible,
 )
 from .io import (
+    bundle_from_json,
     canonical_labels,
     family_from_json,
     lazy_from_json,
@@ -48,7 +49,7 @@ from .io import (
 )
 from .lazy import lazy_invert, lazy_mul, qz_window_check
 from .prosets import elem_key
-from .recovery import BundleAccess, MatrixAccess, recover_poset, scramble
+from .recovery import MatrixAccess, recover_poset, scramble
 from .rings import ModRing, PrimeField, QQ, ZZ
 
 
@@ -113,8 +114,7 @@ def _quotient_payload(quo):
     """The quotient's JSON, its legend, and the name each class gets in the
     report: c0, c1, ... in canonical order when the labels were replaced."""
     payload, legend = _proset_payload(quo)
-    order = sorted(quo.elements, key=elem_key)
-    names = {s: "c%d" % i if legend else s for i, s in enumerate(order)}
+    names = {s: "c%d" % i if legend else s for i, s in enumerate(quo.elements)}
     return payload, legend, names
 
 
@@ -274,8 +274,7 @@ def cmd_recover(args):
         # accept a whole scramble report, so the two commands pipe together
         obj, path = require(obj, "bundle"), "$.bundle"
     if "table" in obj:
-        ring = ring_from_json({"ring": require(obj, "ring", path)})
-        access = BundleAccess(obj, ring)
+        access = bundle_from_json(obj, path)
     else:
         pro = proset_from_json(require(obj, "proset", path), path + ".proset")
         ring = ring_from_json(require(obj, "ring", path))

@@ -7,6 +7,8 @@ coequalizers exist but may collapse components: starting from the forced
 identifications, any component a leg fails to treat admissibly is flattened
 to a point, repeated to a fixed point.  That is the least quotient making
 both legs admissible, and the mediating-map property is exact for it.
+An embedded component is certified by one convexity test, of its whole
+image (see validate_fcc).
 """
 
 import itertools
@@ -83,7 +85,13 @@ class FccMap:
 def validate_fcc(f):
     """Check admissibility.  Returns one record per component of the domain,
     ('constant', component, value) or ('embedding', component).  Raises
-    NotOrderPreserving, NotConvexImage or NotFcc."""
+    NotOrderPreserving, NotConvexImage or NotFcc.
+
+    An embedded component takes one convexity test, of its whole image: f
+    preserves order and is injective and order-reflecting there, so if
+    f(comp) is convex, an interval between points of f(C), for any convex C
+    in comp, pulls back into C, and f(C) stays connected.  Only when the
+    test fails are the convex subsets searched, to name the least witness."""
     dom, cod = f.domain, f.codomain
     for (s1, s2) in dom.pairs():
         if not cod.leq(f(s1), f(s2)):
@@ -91,8 +99,9 @@ def validate_fcc(f):
                 "%r <= %r but %r is not <= %r" % (s1, s2, f(s1), f(s2))
             )
     out = []
+    rank = dom.rank.__getitem__
     for comp in dom.components():
-        comp = sorted(comp, key=elem_key)
+        comp = sorted(comp, key=rank)
         values = {f(s) for s in comp}
         if len(values) == 1:
             v = next(iter(values))
@@ -112,17 +121,18 @@ def validate_fcc(f):
                         "component %r does not embed: order appears between "
                         "%r and %r only downstream" % (comp, s1, s2)
                     )
-        sub = dom.restrict(comp)
+        if cod.is_convex(values):
+            out.append(("embedding", tuple(comp)))
+            continue
         for size in range(1, len(comp) + 1):
             for cand in itertools.combinations(comp, size):
-                if not sub.is_convex(cand):
+                if not dom.is_convex(cand):
                     continue
                 img = [f(s) for s in cand]
                 if not cod.is_convex(img):
                     raise NotConvexImage(
                         "convex %r has non-convex image %r" % (cand, sorted(img, key=elem_key))
                     )
-        out.append(("embedding", tuple(comp)))
     return out
 
 
@@ -216,8 +226,11 @@ def coproduct_mediator(injections, maps):
 
 
 class _Partition:
+    """Union-find over items in canonical order; each root is its class's earliest item."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
+        self.index = {x: i for i, x in enumerate(items)}
 
     def find(self, x):
         while self.parent[x] != x:
@@ -229,7 +242,7 @@ class _Partition:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
-        if elem_key(ry) < elem_key(rx):
+        if self.index[ry] < self.index[rx]:
             rx, ry = ry, rx
         self.parent[ry] = rx
         return True
@@ -262,9 +275,8 @@ def _forced_collapse(parts, carriers):
         changed = False
         for i, pro in carriers:
             for comp in pro.components():
-                comp = sorted(comp, key=elem_key)
+                comp = sorted(comp, key=pro.rank.__getitem__)
                 imgs = [label[(i, s)] for s in comp]
-                flatten = False
                 if len(set(imgs)) == 1:
                     cls = quo.equiv_class(imgs[0])
                     if len(cls) > 1:
@@ -272,25 +284,17 @@ def _forced_collapse(parts, carriers):
                         for x in members[1:]:
                             changed |= parts.union(members[0], x)
                     continue
-                if len(set(imgs)) < len(imgs):
-                    flatten = True
-                if not flatten:
-                    sub = pro.restrict(comp)
-                    for s1 in comp:
-                        for s2 in comp:
-                            if s1 != s2 and quo.leq(label[(i, s1)], label[(i, s2)]) and not sub.leq(s1, s2):
-                                flatten = True
-                                break
-                        if flatten:
-                            break
-                if not flatten and not quo.is_convex(set(imgs)):
-                    flatten = True
-                if flatten:
+                if (
+                    len(set(imgs)) < len(imgs)
+                    or any(quo.leq(label[(i, s1)], label[(i, s2)]) and not pro.leq(s1, s2)
+                           for s1 in comp for s2 in comp)
+                    or not quo.is_convex(set(imgs))
+                ):
                     first = comp[0]
                     for s in comp[1:]:
                         changed |= parts.union((i, first), (i, s))
         if not changed:
-            return _quotient_of(parts, carriers)
+            return quo, label
 
 
 def pushout(f, g):
@@ -431,10 +435,7 @@ def equalizer_check(f1, f2, ring=None, probes=()):
             injective = False
             break
         seen.append(support)
-    comps = sorted(
-        (sorted(c, key=elem_key) for c in quo.components()),
-        key=lambda c: elem_key(c[0]),
-    )
+    comps = quo.components()
     points = Proset(list(range(len(comps))), [])
     collapse = FccMap(quo, points, {s: i for i, comp in enumerate(comps) for s in comp})
     reports = [
@@ -453,7 +454,7 @@ def equalizer_check(f1, f2, ring=None, probes=()):
 
 
 def _class_pairs(pro):
-    reps = sorted({min(pro.equiv_class(s), key=elem_key) for s in pro.elements}, key=elem_key)
+    reps = [min(c, key=pro.rank.__getitem__) for c in pro.classes()]
     return [(a, b) for a in reps for b in reps if a != b]
 
 
@@ -522,12 +523,9 @@ def _pushout_matches(pro, quo, q1, q2, left, right):
         mapping[s] = q2(s)
     if len(set(mapping.values())) != len(pro.elements):
         return None
-    for (s1, s2) in pro.pairs():
-        if not quo.leq(mapping[s1], mapping[s2]):
-            return None
     for s1 in pro.elements:
         for s2 in pro.elements:
-            if quo.leq(mapping[s1], mapping[s2]) and not pro.leq(s1, s2):
+            if quo.leq(mapping[s1], mapping[s2]) != pro.leq(s1, s2):
                 return None
     return mapping
 

@@ -37,6 +37,7 @@ __all__ = [
     "lazy_to_json",
     "map_from_json",
     "map_to_json",
+    "bundle_from_json",
     "canonical_labels",
     "load_json",
     "require",
@@ -264,15 +265,31 @@ def map_to_json(f):
     }
 
 
+def bundle_from_json(obj, path="$"):
+    """A structure-constant bundle as a BundleAccess, once `table` holds dim rows
+    of dim cells and every cell, `one` and each sample hold dim coordinates."""
+    from .recovery import BundleAccess
+
+    dim = require(obj, "dim", path)
+    if type(dim) is not int or dim < 0:
+        raise MalformedInput("%s.dim must be a natural number, got %s" % (path, json.dumps(dim)))
+    at = path + ".table"
+    for i, row in enumerate(_shaped(require(obj, "table", path), at, dim)):
+        for j, cell in enumerate(_shaped(row, "%s[%d]" % (at, i), dim)):
+            _shaped(cell, "%s[%d][%d]" % (at, i, j), dim)
+    _shaped(require(obj, "one", path), path + ".one", dim)
+    _rows(obj, "samples", path, dim)
+    return BundleAccess(obj, ring_from_json(require(obj, "ring", path)))
+
+
 def canonical_labels(pro):
     """Relabel a proset onto c0..cN-1 (handy when elements are quotient
     classes that JSON cannot carry).  Returns the relabeled proset and the
     legend mapping new labels to printable originals."""
-    order = sorted(pro.elements, key=elem_key)
-    names = {s: "c%d" % i for i, s in enumerate(order)}
+    names = {s: "c%d" % i for i, s in enumerate(pro.elements)}
     rel = [(names[a], names[b]) for (a, b) in pro.pairs()]
     legend = {
         names[s]: sorted(str(x) for x in s) if isinstance(s, frozenset) else str(s)
-        for s in order
+        for s in pro.elements
     }
     return Proset(names.values(), rel), legend

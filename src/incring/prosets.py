@@ -120,17 +120,18 @@ def _neighborhood(pro, s, n):
 class Proset:
     """Finite preordered set.  Immutable after construction, so pairs(),
     opposite(), classes() and the class extension are each computed on
-    first use and kept."""
+    first use and kept.  `rank` maps each element to its place in the
+    elem_key order of `elements`; later orderings sort by it."""
 
     _pairs = _opposite = _classes = _class_extension = None
 
     def __init__(self, elements, relations=()):
         self.elements = _sorted(set(elements))
-        index = set(self.elements)
+        self.rank = {s: i for i, s in enumerate(self.elements)}
         up = {s: {s} for s in self.elements}
         adj = {s: set() for s in self.elements}
         for a, b in relations:
-            if a not in index or b not in index:
+            if a not in self.rank or b not in self.rank:
                 raise ValueError("relation (%r, %r) uses unknown elements" % (a, b))
             adj[a].add(b)
         # transitive closure by forward search from every element
@@ -170,7 +171,7 @@ class Proset:
         """[s1, s2] = every t with s1 <= t <= s2; empty unless s1 <= s2."""
         if s2 not in self._up[s1]:
             return ()
-        return _sorted(t for t in self._up[s1] if s2 in self._up[t])
+        return tuple(sorted(self._up[s1] & self._down[s2], key=self.rank.__getitem__))
 
     def equiv_class(self, s):
         return frozenset(t for t in self._up[s] if s in self._up[t])
@@ -180,8 +181,9 @@ class Proset:
     def pairs(self):
         """All order pairs (s1, s2) with s1 <= s2, diagonal included."""
         if self._pairs is None:
+            rank = self.rank.__getitem__
             self._pairs = tuple(
-                (s1, s2) for s1 in self.elements for s2 in _sorted(self._up[s1])
+                (s1, s2) for s1 in self.elements for s2 in sorted(self._up[s1], key=rank)
             )
         return self._pairs
 
@@ -260,7 +262,7 @@ class Proset:
         try:
             while True:
                 work = interval_closure(self, work)
-                piece = _flood(self, min(work, key=elem_key), work)
+                piece = _flood(self, min(work, key=self.rank.__getitem__), work)
                 if len(piece) == len(work):
                     return work
                 work |= self._connecting_path(work, piece)
@@ -271,13 +273,14 @@ class Proset:
     def _connecting_path(self, subset, piece):
         # BFS from one piece of the subset through the ambient comparability
         # graph until another piece is reached; ties broken canonically.
+        rank = self.rank.__getitem__
         target = subset - piece
         parent = {s: None for s in piece}
-        frontier = _sorted(piece)
+        frontier = sorted(piece, key=rank)
         while frontier:
             nxt = []
             for t in frontier:
-                for u in _sorted(self._up[t] | self._down[t]):
+                for u in sorted(self._up[t] | self._down[t], key=rank):
                     if u in parent:
                         continue
                     parent[u] = t

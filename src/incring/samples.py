@@ -9,7 +9,7 @@ of assigning class sizes.
 """
 
 from .matrices import IncMatrix
-from .prosets import Proset, elem_key
+from .prosets import Proset
 
 __all__ = [
     "enumerate_posets",
@@ -123,10 +123,8 @@ def random_matrix(pro, ring, rng, density=0.6):
 
 
 def _component_embeddings(comp, dom, cod):
-    """All maps of one connected component that are embeddings onto a convex
-    image, found by backtracking along a fixed element order."""
-    comp = sorted(comp, key=elem_key)
-    sub = dom.restrict(comp)
+    """All maps of one connected component, listed in canonical order, that
+    are embeddings onto a convex image, found by backtracking along it."""
     results = []
 
     def extend(assigned):
@@ -141,7 +139,7 @@ def _component_embeddings(comp, dom, cod):
                 continue
             good = True
             for s0, t0 in assigned.items():
-                if sub.leq(s0, s) != cod.leq(t0, t) or sub.leq(s, s0) != cod.leq(t, t0):
+                if dom.leq(s0, s) != cod.leq(t0, t) or dom.leq(s, s0) != cod.leq(t, t0):
                     good = False
                     break
             if good:
@@ -162,7 +160,7 @@ def random_fcc_map(dom, cod, rng, constant_bias=0.5):
     mapping = {}
     flat = [s for s in cod.elements if len(cod.equiv_class(s)) == 1]
     for comp in dom.components():
-        comp = sorted(comp, key=elem_key)
+        comp = sorted(comp, key=dom.rank.__getitem__)
         options = None
         if not flat or rng.random() >= constant_bias:
             options = _component_embeddings(comp, dom, cod)

@@ -1,6 +1,7 @@
 """The command line: reports, determinism, exit codes, round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +228,44 @@ def test_recover_refuses_a_non_incidence_ring(capsys, mode, error):
     assert json.loads(captured.out)["error"]["type"] == error
 
 
+def bundle(**fields):
+    """GF(2) as a one-dimensional bundle, with some fields replaced or, when
+    given as None, left out."""
+    obj = {"ring": {"gf": 2}, "dim": 1, "table": [[["1"]]], "one": ["1"], "samples": [["1"]]}
+    obj.update(fields)
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+@pytest.mark.parametrize("text, message", [
+    (bundle(table=5), "$.table must be a JSON array of 1 items, got 5"),
+    (bundle(one=None), "$ has no key 'one'"),
+    (bundle(dim=None), "$ has no key 'dim'"),
+    (bundle(dim="1"), '$.dim must be a natural number, got "1"'),
+    (bundle(dim=2), '$.table must be a JSON array of 2 items, got [[["1"]]]'),
+    (bundle(table=[["1"]]), '$.table[0][0] must be a JSON array of 1 items, got "1"'),
+    (bundle(table=[[["1"], ["0"]]]),
+     '$.table[0] must be a JSON array of 1 items, got [["1"], ["0"]]'),
+    (bundle(table=[[["1", "0"]]]),
+     '$.table[0][0] must be a JSON array of 1 items, got ["1", "0"]'),
+    (bundle(one=["1", "0"]), '$.one must be a JSON array of 1 items, got ["1", "0"]'),
+    (bundle(samples={}), "$.samples must be a JSON array, got {}"),
+    (bundle(samples=[[]]), "$.samples[0] must be a JSON array of 1 items, got []"),
+    ('{"bundle": %s}' % bundle(one=7), "$.bundle.one must be a JSON array of 1 items, got 7"),
+])
+def test_malformed_bundle_is_typed(capsys, text, message):
+    code = main(["recover", "--input", text])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
+
+
+def test_one_point_bundle_recovers(capsys):
+    code, out = run(capsys, "recover", "--input", bundle(), "--mode", "exhaustive")
+    assert code == 0
+    assert json.loads(out)["recovered"] == {"elements": [0], "relations": []}
+
+
 def test_emitted_proset_reads_back(capsys, tmp_path):
     pro = json.dumps({"elements": ["a", "b"], "relations": [["a", "b"]]})
     code, out = run(capsys, "proset", "check", "--proset", pro)
@@ -297,3 +336,62 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip()
+
+
+# -- golden bytes ------------------------------------------------------------------
+# The exact stdout of a few colimit, validation and closure reports, whose
+# element orders and quotient labels all come from the canonical label order.
+# Each file under tests/golden/ holds the report of the invocation named
+# after it.
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+VEE = {"elements": ["p", "x", "y"], "relations": [["p", "x"], ["p", "y"]]}
+WEDGE = {"elements": ["u", "v", "t"], "relations": [["u", "t"], ["v", "t"]]}
+ANTI2 = {"elements": [1, 2], "relations": []}
+GLUED = {"elements": ["x", "y1", "y2", "z", "u", "v"],
+         "relations": [["x", "y1"], ["y2", "z"], ["u", "v"]]}
+GOLDEN = {
+    "pushout_diamond": [
+        "functor", "pushout",
+        "--f", json.dumps({"domain": ANTI2, "codomain": VEE, "map": {"1": "x", "2": "y"}}),
+        "--g", json.dumps({"domain": ANTI2, "codomain": WEDGE, "map": {"1": "u", "2": "v"}}),
+    ],
+    "coeq_glued": [
+        "functor", "coeq",
+        "--f", json.dumps({"domain": {"elements": ["t"]}, "codomain": GLUED, "map": {"t": "y1"}}),
+        "--g", json.dumps({"domain": {"elements": ["t"]}, "codomain": GLUED, "map": {"t": "y2"}}),
+    ],
+    "validate_accepted": ["functor", "validate", "--map", json.dumps({
+        "domain": {"elements": [0, 1, 2, "s", "t"], "relations": [[0, 1], [0, 2], ["s", "t"]]},
+        "codomain": {"elements": ["a", "b", "c", "d", "e"],
+                     "relations": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"], ["e", "a"]]},
+        "map": {"0": "a", "1": "b", "2": "c", "s": "d", "t": "d"},
+    })],
+    "validate_not_convex": ["functor", "validate", "--map", json.dumps({
+        "domain": {"elements": [0, 1, 2], "relations": [[0, 1], [1, 2]]},
+        "codomain": {"elements": ["a", "b", "c", "d"],
+                     "relations": [["a", "b"], ["b", "c"], ["c", "d"]]},
+        "map": {"0": "a", "1": "b", "2": "d"},
+    })],
+    "validate_not_convex_singleton": ["functor", "validate", "--map", json.dumps({
+        "domain": {"elements": [0, 1], "relations": [[0, 1]]},
+        "codomain": {"elements": ["x", "y", "z"],
+                     "relations": [["x", "y"], ["y", "x"], ["y", "z"]]},
+        "map": {"0": "x", "1": "z"},
+    })],
+    "closure_nested": ["proset", "closure", "--subset", "0,z", "--proset", json.dumps({
+        "elements": [0, "a", "z", [1, 2], [[0, 1], "b"]],
+        "relations": [[0, [1, 2]], [[1, 2], "a"], ["z", [[0, 1], "b"]], [[[0, 1], "b"], "a"]],
+    })],
+    "closure_tiebreak": ["proset", "closure", "--subset", "0,z", "--proset", json.dumps({
+        "elements": [0, "z", [1, 2], [[0, 1], "b"]],
+        "relations": [[0, [1, 2]], ["z", [1, 2]], [0, [[0, 1], "b"]], ["z", [[0, 1], "b"]]],
+    })],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(capsys, name):
+    main(GOLDEN[name])
+    expected = (GOLDEN_DIR / (name + ".out")).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

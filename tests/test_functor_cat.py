@@ -1,6 +1,8 @@
 """Admissible poset maps, the induced ring homomorphisms, and colimits."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from incring.errors import (
     NotOrderPreserving,
     NotParallel,
 )
+from incring import functor_cat
 from incring.functor_cat import (
     FccMap,
     coequalizer,
@@ -27,9 +30,10 @@ from incring.functor_cat import (
     validate_fcc,
 )
 from incring.matrices import identity, unit
-from incring.prosets import Proset, two_block
+from incring.prosets import Proset, elem_key, two_block
 from incring.rings import PrimeField, ZZ
 from incring.samples import (
+    enumerate_prosets,
     irreducible_prosets,
     random_fcc_map,
     random_matrix,
@@ -94,6 +98,92 @@ def test_validate_rejects_constant_onto_cycle_point():
         validate_fcc(f)
     ok = FccMap(CHAIN2, loop, {0: "z", 1: "z"})
     assert validate_fcc(ok)[0][0] == "constant"
+
+
+def validate_fcc_all_subsets(f):
+    """Admissibility tested on the image of every convex subset of every
+    embedded component: the oracle for validate_fcc, which tests only the
+    image of the whole component unless that test fails."""
+    dom, cod = f.domain, f.codomain
+    for (s1, s2) in dom.pairs():
+        if not cod.leq(f(s1), f(s2)):
+            raise NotOrderPreserving(
+                "%r <= %r but %r is not <= %r" % (s1, s2, f(s1), f(s2))
+            )
+    out = []
+    for comp in dom.components():
+        comp = sorted(comp, key=elem_key)
+        values = {f(s) for s in comp}
+        if len(values) == 1:
+            v = next(iter(values))
+            if not cod.is_convex([v]):
+                raise NotConvexImage(
+                    "component %r is constant at %r, whose singleton is not "
+                    "convex downstream" % (comp, v)
+                )
+            out.append(("constant", tuple(comp), v))
+            continue
+        if len(values) < len(comp):
+            raise NotFcc("component %r is neither constant nor injective" % (comp,))
+        for s1 in comp:
+            for s2 in comp:
+                if s1 != s2 and cod.leq(f(s1), f(s2)) and not dom.leq(s1, s2):
+                    raise NotFcc(
+                        "component %r does not embed: order appears between "
+                        "%r and %r only downstream" % (comp, s1, s2)
+                    )
+        sub = dom.restrict(comp)
+        for size in range(1, len(comp) + 1):
+            for cand in itertools.combinations(comp, size):
+                if not sub.is_convex(cand):
+                    continue
+                img = [f(s) for s in cand]
+                if not cod.is_convex(img):
+                    raise NotConvexImage(
+                        "convex %r has non-convex image %r" % (cand, sorted(img, key=elem_key))
+                    )
+        out.append(("embedding", tuple(comp)))
+    return out
+
+
+def outcome(check, f):
+    """The records `check` returns for f, or the type and message it raises."""
+    try:
+        return check(f)
+    except (NotOrderPreserving, NotConvexImage, NotFcc) as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_matches_all_subsets_oracle():
+    """Every map from a proset of at most 3 points into one of at most 4."""
+    seen = Counter()
+    for dom in [p for n in range(1, 4) for p in enumerate_prosets(n)]:
+        for cod in [p for n in range(1, 5) for p in enumerate_prosets(n)]:
+            for images in itertools.product(cod.elements, repeat=len(dom)):
+                f = FccMap(dom, cod, dict(zip(dom.elements, images)))
+                got = outcome(validate_fcc, f)
+                assert got == outcome(validate_fcc_all_subsets, f)
+                seen.update([r[0] for r in got] if isinstance(got, list) else [got[0].__name__])
+    assert all(seen[k] for k in ("embedding", "constant", "NotOrderPreserving",
+                                 "NotConvexImage", "NotFcc"))
+
+
+LOOP = Proset(["x", "y", "z"], [("x", "y"), ("y", "x"), ("y", "z")])
+CHAIN4 = Proset(range(4), [(i, i + 1) for i in range(3)])
+
+
+@pytest.mark.parametrize("f", [
+    FccMap(CHAIN2, CHAIN3, {0: "a", 1: "c"}),
+    FccMap(CHAIN2, CHAIN4, {0: 0, 1: 3}),
+    FccMap(CHAIN2, LOOP, {0: "x", 1: "x"}),
+    FccMap(CHAIN2, LOOP, {0: "x", 1: "z"}),
+    FccMap(Proset("abc", [("a", "b"), ("b", "c")]), CHAIN4, {"a": 0, "b": 1, "c": 3}),
+    FccMap(CHAIN2, two_block(2, 1), {0: "b0", 1: "t0"}),
+])
+def test_validate_names_the_oracle_witness(f):
+    got = outcome(validate_fcc, f)
+    assert got[0] is NotConvexImage
+    assert got == outcome(validate_fcc_all_subsets, f)
 
 
 def test_compose_and_identity():
@@ -338,3 +428,93 @@ def test_two_block_decomposes_to_itself():
     assert tree["leaf"] is True
     assert tree["classes"] == 2
     assert tree["sizes"] == [2, 2]
+
+
+# -- label order ------------------------------------------------------------------
+# Prosets keep the elem_key order of their elements as a rank and sort by it;
+# these check every such ordering against sorting by elem_key on labels of
+# mixed types, whose keys compare across types and nest.
+
+LABELS = [-1, "b", ("a", 1), frozenset({(0, "x"), (1, "y")}), frozenset({(0, "x")})]
+SMALL = [pro for n in range(1, 5) for pro in enumerate_prosets(n)]
+
+
+def relabellings(pro, rng, count=4):
+    """Copies of pro on mixed labels, assigned in random orders."""
+    for _ in range(count):
+        names = dict(zip(pro.elements, rng.sample(LABELS, len(pro))))
+        yield Proset(names.values(), [(names[a], names[b]) for a, b in pro.pairs()])
+
+
+def by_key(xs):
+    return sorted(xs, key=elem_key)
+
+
+def test_rank_orders_match_label_key():
+    rng = random.Random(41)
+    for base in SMALL:
+        for pro in relabellings(base, rng):
+            assert list(pro.elements) == by_key(pro.elements)
+            for a in pro.elements:
+                for b in pro.elements:
+                    got = pro.interval(a, b)
+                    assert list(got) == by_key(pro.up_set(a) & pro.down_set(b))
+            assert list(pro.pairs()) == sorted(
+                pro.pairs(), key=lambda p: (elem_key(p[0]), elem_key(p[1])))
+            comps = sorted((tuple(by_key(c)) for c in pro.components()),
+                           key=lambda c: elem_key(c[0]))
+            assert [rec[1] for rec in validate_fcc(identity_map(pro))] == comps
+            reps = by_key({min(c, key=elem_key) for c in pro.classes()})
+            assert functor_cat._class_pairs(pro) == [
+                (a, b) for a in reps for b in reps if a != b]
+
+
+def union_by_label_key(self, x, y):
+    """_Partition.union choosing the root by elem_key, not by position."""
+    rx, ry = self.find(x), self.find(y)
+    if rx == ry:
+        return False
+    if elem_key(ry) < elem_key(rx):
+        rx, ry = ry, rx
+    self.parent[ry] = rx
+    return True
+
+
+def colimit_labels(spans, pairs):
+    """Quotient elements and order pairs, and the legs, of every pushout of
+    a span and every coequalizer of a parallel pair."""
+    out = []
+    for f, g in spans:
+        quo, q1, q2 = pushout(f, g)
+        out.append((quo.elements, quo.pairs(), q1.mapping, q2.mapping))
+    for f1, f2 in pairs:
+        quo, q = coequalizer(f1, f2)
+        out.append((quo.elements, quo.pairs(), q.mapping))
+    return out
+
+
+def test_colimit_labels_match_label_key_roots(monkeypatch):
+    rng = random.Random(43)
+    tiny = [pro for n in range(1, 4) for pro in enumerate_prosets(n)]
+    spans, pairs = [], []
+    while len(spans) < 60 or len(pairs) < 60:
+        apex, left, right = (next(relabellings(rng.choice(tiny), rng, 1)) for _ in range(3))
+        try:
+            spans.append((random_fcc_map(apex, left, rng), random_fcc_map(apex, right, rng)))
+            pairs.append((random_fcc_map(apex, left, rng), random_fcc_map(apex, left, rng)))
+        except ValueError:
+            continue
+    # the partition's roots are the elem_key least member of every class
+    for f, g in spans:
+        items = [(1, s) for s in f.codomain.elements] + [(2, s) for s in g.codomain.elements]
+        parts = functor_cat._Partition(items)
+        for _ in range(len(items)):
+            parts.union(rng.choice(items), rng.choice(items))
+        for x in items:
+            members = [y for y in items if parts.find(y) == parts.find(x)]
+            assert parts.find(x) == min(members, key=elem_key)
+    got = colimit_labels(spans, pairs)
+    for quo_elements, *_ in got:
+        assert list(quo_elements) == by_key(quo_elements)
+    monkeypatch.setattr(functor_cat._Partition, "union", union_by_label_key)
+    assert colimit_labels(spans, pairs) == got
