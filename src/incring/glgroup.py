@@ -1,11 +1,12 @@
 """Units of an incidence ring: certification, inversion, centrality, commutators.
 
 A matrix is invertible exactly when every class-diagonal block (the dense
-square block of an equivalence class) has unit determinant; the inverse is
-assembled by block back-substitution along a deterministic linear extension
-of the class order.  An n-point class block's determinant and adjugate come
-from one division-free Berkowitz characteristic polynomial and Cayley-Hamilton
-in O(n^4) ring operations, so Z and Z/n work as well as fields.
+square block of an equivalence class) has unit determinant.  `invert` writes
+A = D(1 - N), with D the class-block diagonal and N nilpotent, inverts D block
+by block and sums the series of N by repeated squaring on the `IncMatrix.mul`
+kernel.  An n-point class block's determinant and adjugate come from one
+division-free Berkowitz characteristic polynomial and Cayley-Hamilton in
+O(n^4) ring operations, so Z and Z/n work as well as fields.
 
 Closures are breadth-first orbits on one routine, `_orbit`: `mulclose`
 right-multiplies new elements by the kept generators only, about
@@ -18,7 +19,7 @@ from collections import namedtuple
 from functools import reduce
 
 from .errors import HypothesisViolation, NotInvertible
-from .matrices import IncMatrix, identity, unit
+from .matrices import IncMatrix, _raw, identity, unit
 from .prosets import elem_key, two_block
 from .rings import PrimeField
 
@@ -28,7 +29,6 @@ __all__ = [
     "is_invertible",
     "invert",
     "det_block",
-    "class_extension",
     "normal_subgroup_membership",
     "quotient_project",
     "is_central",
@@ -63,14 +63,6 @@ def _mat_mul(ring, x, y):
             for j in range(m):
                 oi[j] = ring.add(oi[j], ring.mul(a, yt[j]))
     return out
-
-
-def _mat_add(ring, x, y):
-    return [[ring.add(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def _mat_neg(ring, x):
-    return [[ring.neg(a) for a in row] for row in x]
 
 
 def _charpoly(ring, m):
@@ -120,7 +112,7 @@ def _det_adj(ring, m):
     Cayley-Hamilton adj m = -(p0 m^(n-1) + ... + p(n-1) I), by Horner's rule."""
     n = len(m)
     poly = _charpoly(ring, m)
-    start = m if n % 2 else _mat_neg(ring, m)  # -p0 m, as p0 = (-1)^n
+    start = m if n % 2 else [[ring.neg(a) for a in row] for row in m]  # -p0 m, as p0 = (-1)^n
     adj = [[ring.sub(a, poly[1]) if i == j else a for j, a in enumerate(row)] for i, row in enumerate(start)]
     for c in poly[2:n]:
         adj = _mat_mul(ring, adj, m)
@@ -138,50 +130,23 @@ def _block_inverse(ring, m):
     return [[ring.mul(dinv, a) for a in row] for row in adj]
 
 
-# -- class bookkeeping ---------------------------------------------------------
+# -- inversion through the nilpotent off-class part ---------------------------
 
 
-def class_extension(pro):
-    """Linear extension of the equivalence classes, canonical tie-break;
-    computed on first use and kept on the proset."""
-    if pro._class_extension is None:
-        pro._class_extension = _linear_extension(pro)
-    return pro._class_extension
-
-
-def _linear_extension(pro):
-    classes = [tuple(sorted(c, key=elem_key)) for c in pro.classes()]
-    remaining = set(range(len(classes)))
-    below = {
-        i: {
-            j
-            for j in range(len(classes))
-            if j != i and pro.leq(classes[j][0], classes[i][0])
-        }
-        for i in range(len(classes))
-    }
-    order = []
-    while remaining:
-        ready = [i for i in remaining if not (below[i] & remaining)]
-        pick = min(ready, key=lambda i: elem_key(classes[i][0]))
-        order.append(pick)
-        remaining.discard(pick)
-    return tuple(classes[i] for i in order)
-
-
-def _get_block(matrix, rows, cols):
-    return [[matrix.entry(a, b) for b in cols] for a in rows]
+def _class_block(matrix, rows):
+    return [[matrix.entry(a, b) for b in rows] for a in rows]
 
 
 def is_invertible(matrix):
     """Unit test: every class-diagonal block has unit determinant; a
     one-point class tests its diagonal entry directly."""
     ring = matrix.ring
-    for rows in class_extension(matrix.pro):
-        if len(rows) == 1:
-            d = matrix.entry(rows[0], rows[0])
+    for c in matrix.pro.classes():
+        if len(c) == 1:
+            (s,) = c
+            d = matrix.entry(s, s)
         else:
-            d = det_block(ring, _get_block(matrix, rows, rows))
+            d = det_block(ring, _class_block(matrix, c))
         if not ring.is_unit(d):
             return False
     return True
@@ -190,51 +155,33 @@ def is_invertible(matrix):
 def invert(matrix):
     """Two-sided inverse inside the same incidence ring.
 
-    Diagonal class blocks invert by Cayley-Hamilton; blocks between
-    classes c1 < c2 follow the back-substitution
-
-        B[c1, c2] = -B[c1, c1] * sum over c1 < c <= c2 of A[c1, c] * B[c, c2].
+    A = D(1 - N), where D is the class-block diagonal of A and
+    N = -D^-1 (A - D) vanishes on the class-diagonal blocks, so N is
+    nilpotent.  Hence A^-1 = (1 + N)(1 + N^2)(1 + N^4)... D^-1: D's blocks
+    invert by Cayley-Hamilton, and the product takes one squaring and one
+    product per doubling of the longest chain of classes.  NotInvertible
+    names the first class, in `classes()` order, whose block is singular.
     """
     pro, ring = matrix.pro, matrix.ring
-    ext = class_extension(pro)
-    k = len(ext)
-    inv_blocks = {}
-    for i, c in enumerate(ext):
+    zero = ring.zero
+    dinv = {}
+    for c in pro.classes():
+        rows = sorted(c, key=pro.rank.__getitem__)
         try:
-            inv_blocks[(i, i)] = _block_inverse(ring, _get_block(matrix, c, c))
+            blk = _block_inverse(ring, _class_block(matrix, rows))
         except NotInvertible:
-            raise NotInvertible(
-                "class block %r has non-unit determinant" % (c,)
-            )
-    cleq = {
-        (i, j): pro.leq(ext[i][0], ext[j][0])
-        for i in range(k)
-        for j in range(k)
-    }
-    for span in range(1, k):
-        for i in range(k - span):
-            j = i + span
-            if not cleq[(i, j)]:
-                continue
-            acc = None
-            for l in range(i + 1, j + 1):
-                if not (cleq[(i, l)] and cleq[(l, j)]):
-                    continue
-                blk = inv_blocks.get((l, j))
-                if blk is None:
-                    continue
-                term = _mat_mul(ring, _get_block(matrix, ext[i], ext[l]), blk)
-                acc = term if acc is None else _mat_add(ring, acc, term)
-            if acc is None:
-                continue
-            inv_blocks[(i, j)] = _mat_mul(ring, inv_blocks[(i, i)], _mat_neg(ring, acc))
-    entries = {}
-    for (i, j), blk in inv_blocks.items():
-        for a, row in zip(ext[i], blk):
-            for b, v in zip(ext[j], row):
-                if v != ring.zero:
-                    entries[(a, b)] = v
-    return IncMatrix(pro, ring, entries)
+            raise NotInvertible("class block %r has non-unit determinant" % (tuple(rows),)) from None
+        for a, row in zip(rows, blk):
+            for b, v in zip(rows, row):
+                if v != zero:
+                    dinv[(a, b)] = v
+    off = {k: ring.neg(v) for k, v in matrix.entries.items() if not pro.leq(k[1], k[0])}
+    x = _raw(pro, ring, dinv)
+    n = x.mul(_raw(pro, ring, off))
+    while not n.is_zero():
+        x = x.add(n.mul(x))
+        n = n.mul(n)
+    return x
 
 
 # -- the group -------------------------------------------------------------------
@@ -402,7 +349,7 @@ def random_invertible(pro, ring, rng):
                 if v != ring.zero:
                     entries[(a, b)] = v
     for (s1, s2) in pro.strict_pairs():
-        if s2 in pro.equiv_class(s1):
+        if pro.leq(s2, s1):
             continue
         v = ring.random(rng)
         if v != ring.zero:

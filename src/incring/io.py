@@ -41,6 +41,7 @@ __all__ = [
     "canonical_labels",
     "load_json",
     "require",
+    "parse_value",
 ]
 
 
@@ -75,6 +76,17 @@ def _rows(obj, key, path, length=None):
     at = "%s.%s" % (path, key)
     items = _shaped(obj.get(key, []), at)
     return [_shaped(r, "%s[%d]" % (at, i), length) for i, r in enumerate(items)]
+
+
+def parse_value(ring, value, path, *index):
+    """ring.parse of the coefficient `value` found at `path` and then the
+    array indices `index`; a value the ring rejects raises MalformedInput."""
+    try:
+        return ring.parse(str(value))
+    except (TypeError, ValueError, ZeroDivisionError):
+        at = path + "".join("[%d]" % i for i in index)
+        got = json.dumps(value, default=str)
+        raise MalformedInput("%s must be a coefficient of %s, got %s" % (at, ring, got)) from None
 
 
 def _maybe_file(obj):
@@ -187,9 +199,9 @@ def matrix_from_json(obj, path="$"):
     pro = proset_from_json(require(obj, "proset", path), path + ".proset")
     ring = ring_from_json(require(obj, "ring", path))
     entries = {}
-    for s1, s2, v in _rows(obj, "entries", path, 3):
+    for i, (s1, s2, v) in enumerate(_rows(obj, "entries", path, 3)):
         a, b = _resolve(s1, pro.elements), _resolve(s2, pro.elements)
-        entries[(a, b)] = ring.parse(str(v))
+        entries[(a, b)] = parse_value(ring, v, path + ".entries", i, 2)
     return IncMatrix(pro, ring, entries)
 
 
@@ -214,12 +226,12 @@ def lazy_from_json(obj, path="$"):
     if "oracle" in obj:
         return named_oracle(obj["oracle"], fam, ring)
     off = {}
-    for s1, s2, v in _rows(obj, "off_diagonal", path, 3):
-        off[(_coerce_int(s1), _coerce_int(s2))] = ring.parse(str(v))
+    for i, (s1, s2, v) in enumerate(_rows(obj, "off_diagonal", path, 3)):
+        off[(_coerce_int(s1), _coerce_int(s2))] = parse_value(ring, v, path + ".off_diagonal", i, 2)
     exc = {}
-    for s, v in _rows(obj, "diagonal_exceptions", path, 2):
-        exc[_coerce_int(s)] = ring.parse(str(v))
-    default = ring.parse(str(obj.get("diagonal_default", "1")))
+    for i, (s, v) in enumerate(_rows(obj, "diagonal_exceptions", path, 2)):
+        exc[_coerce_int(s)] = parse_value(ring, v, path + ".diagonal_exceptions", i, 1)
+    default = parse_value(ring, obj.get("diagonal_default", "1"), path + ".diagonal_default")
     return lazy_finitary(fam, ring, off_diag=off, exceptions=exc, default=default)
 
 
@@ -279,7 +291,7 @@ def bundle_from_json(obj, path="$"):
             _shaped(cell, "%s[%d][%d]" % (at, i, j), dim)
     _shaped(require(obj, "one", path), path + ".one", dim)
     _rows(obj, "samples", path, dim)
-    return BundleAccess(obj, ring_from_json(require(obj, "ring", path)))
+    return BundleAccess(obj, ring_from_json(require(obj, "ring", path)), path=path)
 
 
 def canonical_labels(pro):

@@ -119,11 +119,11 @@ def _neighborhood(pro, s, n):
 
 class Proset:
     """Finite preordered set.  Immutable after construction, so pairs(),
-    opposite(), classes() and the class extension are each computed on
-    first use and kept.  `rank` maps each element to its place in the
-    elem_key order of `elements`; later orderings sort by it."""
+    opposite() and classes() are each computed on first use and kept.
+    `rank` maps each element to its place in the elem_key order of
+    `elements`; later orderings sort by it."""
 
-    _pairs = _opposite = _classes = _class_extension = None
+    _pairs = _opposite = _classes = None
 
     def __init__(self, elements, relations=()):
         self.elements = _sorted(set(elements))

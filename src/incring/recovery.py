@@ -35,6 +35,7 @@ from .errors import (
 from .matrices import IncMatrix, indicator, unit
 from .prosets import Proset, elem_key
 from .glgroup import random_invertible, invert
+from .io import parse_value
 
 __all__ = [
     "is_topologically_nilpotent",
@@ -206,29 +207,35 @@ class BundleAccess:
     keeps the parsed dense table, cell [i][j] holding the coordinates of
     b_i.b_j."""
 
-    def __init__(self, bundle, ring, sampler=None):
+    def __init__(self, bundle, ring, sampler=None, path="$"):
         self.ring = ring
         self.dim = bundle["dim"]
-        zero = ring.zero
-        self.table = []
-        nonzero = {}
-        for i, row in enumerate(bundle["table"]):
-            parsed = []
-            for j, cell in enumerate(row):
-                cell = [ring.parse(c) for c in cell]
-                parsed.append(cell)
-                for k, c in enumerate(cell):
-                    if c != zero:
-                        nonzero[i, j, k] = c
-            self.table.append(parsed)
+        texts = {}
+
+        def coords(values, where, *index):
+            # each distinct coordinate text parses once
+            try:
+                return [texts[str(c)] for c in values]
+            except KeyError:
+                out = [parse_value(ring, c, where, *index, k) for k, c in enumerate(values)]
+                texts.update(zip(map(str, values), out))
+                return out
+
+        at = path + ".table"
+        self.table = [[coords(cell, at, i, j) for j, cell in enumerate(row)]
+                      for i, row in enumerate(bundle["table"])]
         # the integer kernel of `mul`: per basis pair (i, j), the nonzero
         # structure constants as (k, c) with c lifted over one common scale
-        lifted, self._scale = ring.lift(nonzero)
+        lifted, self._scale = ring.lift({
+            (i, j, k): c
+            for i, row in enumerate(self.table) for j, cell in enumerate(row)
+            for k, c in enumerate(cell) if c
+        })
         self._terms = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for (i, j, k), c in lifted.items():
             self._terms[i][j].append((k, c))
-        self._one = tuple(ring.parse(c) for c in bundle["one"])
-        self._samples = [tuple(ring.parse(c) for c in v) for v in bundle.get("samples", [])]
+        self._one = tuple(coords(bundle["one"], path + ".one"))
+        self._samples = [tuple(coords(v, path + ".samples", i)) for i, v in enumerate(bundle.get("samples", []))]
         self._sampler = sampler
         self.ops = 0
 
@@ -304,18 +311,6 @@ def _random_unit_triangular(dim, ring, rng):
     return m
 
 
-def _triangular_inverse(m, ring):
-    dim = len(m)
-    inv = [[ring.one if i == j else ring.zero for j in range(dim)] for i in range(dim)]
-    for i in range(dim - 1, -1, -1):
-        for j in range(i + 1, dim):
-            acc = ring.zero
-            for k in range(i + 1, j + 1):
-                acc = ring.add(acc, ring.mul(m[i][k], inv[k][j]))
-            inv[i][j] = ring.neg(acc)
-    return inv
-
-
 def scramble(pro, ring, seed=0, samples=0):
     """Disguise a matrix ring as a structure-constant bundle over an opaque
     basis.  The basis is a randomly permuted, unit-triangular recombination
@@ -331,7 +326,10 @@ def scramble(pro, ring, seed=0, samples=0):
     rng.shuffle(perm)
     where = {perm[i]: i for i in range(dim)}
     t = _random_unit_triangular(dim, ring, rng)
-    tinv = _triangular_inverse(t, ring)
+    # t lives in the incidence ring of the chain 0 < 1 < ... < dim - 1
+    chain = Proset(range(dim), [(i, i + 1) for i in range(dim - 1)])
+    inv = invert(IncMatrix(chain, ring, {(i, j): t[i][j] for i in range(dim) for j in range(i, dim)}))
+    tinv = [[inv.entry(i, k) for k in range(dim)] for i in range(dim)]
 
     # raw pair units multiply by splicing, so the raw table is 0/1 valued
     idx = {p: i for i, p in enumerate(pairs)}

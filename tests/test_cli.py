@@ -260,6 +260,31 @@ def test_malformed_bundle_is_typed(capsys, text, message):
     assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["recover", "--input", '{"ring":{"gf":2},"dim":1,"table":[[[[1]]]],"one":["1"]}'],
+     "$.table[0][0][0] must be a coefficient of F2, got [1]"),
+    (["recover", "--input", '{"ring":"Q","dim":1,"table":[[["1/0"]]],"one":["1"]}'],
+     '$.table[0][0][0] must be a coefficient of Q, got "1/0"'),
+    (["algebra", "mul", "--a", '{"proset":{"elements":[0]},"ring":"Q","entries":[[0,0,"1/0"]]}',
+      "--b", "{}"], '$.entries[0][2] must be a coefficient of Q, got "1/0"'),
+    (["recover", "--input", '{"bundle": %s}' % bundle(samples=[["x"]])],
+     '$.bundle.samples[0][0] must be a coefficient of F2, got "x"'),
+    (["recover", "--input", bundle(one=[None])], "$.one[0] must be a coefficient of F2, got null"),
+    (["lazy", "mul", "--a", '{"family":{"family":"Z"},"ring":"Z","diagonal_exceptions":[[0,"1.5"]]}',
+      "--b", "{}"], '$.diagonal_exceptions[0][1] must be a coefficient of Z, got "1.5"'),
+    (["lazy", "mul", "--a", '{"family":{"family":"Z"},"ring":"Z","off_diagonal":[[0,1,[2]]]}',
+      "--b", "{}"], "$.off_diagonal[0][2] must be a coefficient of Z, got [2]"),
+    (["lazy", "mul", "--a", '{"family":{"family":"Z"},"ring":{"mod":4},"diagonal_default":"1/2"}',
+      "--b", "{}"], '$.diagonal_default must be a coefficient of Z/4, got "1/2"'),
+])
+def test_malformed_value_is_typed(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
+
+
 def test_one_point_bundle_recovers(capsys):
     code, out = run(capsys, "recover", "--input", bundle(), "--mode", "exhaustive")
     assert code == 0
@@ -386,6 +411,22 @@ GOLDEN = {
     "closure_tiebreak": ["proset", "closure", "--subset", "0,z", "--proset", json.dumps({
         "elements": [0, "z", [1, 2], [[0, 1], "b"]],
         "relations": [[0, [1, 2]], ["z", [1, 2]], [0, [[0, 1], "b"]], ["z", [[0, 1], "b"]]],
+    })],
+    # a unit over Q on the class {a, b} with c above it and d below it
+    "invert_two_point_class": ["group", "invert", "--input", json.dumps({
+        "proset": {"elements": ["a", "b", "c", "d"],
+                   "relations": [["a", "b"], ["b", "a"], ["b", "c"], ["d", "a"]]},
+        "ring": "Q",
+        "entries": [["a", "a", "2"], ["a", "b", "1"], ["b", "a", "1"], ["b", "b", "1"],
+                    ["c", "c", "3"], ["d", "d", "-1/2"], ["a", "c", "1/2"], ["b", "c", "-1"],
+                    ["d", "a", "1"], ["d", "b", "2"], ["d", "c", "5"]],
+    })],
+    # both class blocks singular over Z/6: the report names {0, 1}, the
+    # first in classes() order, although {2} lies below it
+    "invert_singular_blocks": ["group", "invert", "--input", json.dumps({
+        "proset": {"elements": [0, 1, 2], "relations": [[0, 1], [1, 0], [2, 0]]},
+        "ring": {"mod": 6},
+        "entries": [[0, 0, "1"], [0, 1, "1"], [1, 0, "1"], [1, 1, "1"], [2, 0, "1"], [2, 2, "3"]],
     })],
 }
 

@@ -1,5 +1,6 @@
 """Unit groups of incidence rings: inversion, centrality, commutators."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -9,9 +10,10 @@ import pytest
 from incring.errors import HypothesisViolation, NotInvertible
 from incring.glgroup import (
     GroupElement,
+    _block_inverse,
     _det_adj,
+    _mat_mul,
     certify,
-    class_extension,
     commutator,
     det_block,
     dickson_normal_closure,
@@ -463,16 +465,154 @@ def test_small_blocks_match_cofactor_oracle_exhaustively():
             assert is_invertible(a) == ring.is_unit(d)
 
 
-def test_class_extension_is_kept_on_the_proset():
-    pro = random_proset(6, random.Random(97))
-    ext = class_extension(pro)
-    assert class_extension(pro) is ext
-    assert sorted(s for c in ext for s in c) == sorted(pro.elements)
-
-
 def test_sixteen_point_block_round_trip():
     for ring in (PrimeField(5), ModRing(9)):
         pro = two_block(16)
         a = random_invertible(pro, ring, random.Random(89))
         b = invert(a)
         assert a.mul(b) == identity(pro, ring) == b.mul(a)
+
+
+# -- invert against the class back-substitution oracle ------------------------
+
+
+def class_extension(pro):
+    """Oracle helper: a linear extension of the classes, least label first
+    among the classes whose predecessors are all placed."""
+    classes = [tuple(sorted(c, key=elem_key)) for c in pro.classes()]
+    remaining = set(range(len(classes)))
+    order = []
+    while remaining:
+        ready = [i for i in remaining
+                 if not any(j != i and pro.leq(classes[j][0], classes[i][0]) for j in remaining)]
+        pick = min(ready, key=lambda i: elem_key(classes[i][0]))
+        order.append(pick)
+        remaining.discard(pick)
+    return [classes[i] for i in order]
+
+
+def backsub_inverse(matrix):
+    """Oracle: invert the class blocks, then fill the blocks between classes
+    c1 < c2 along a linear extension by the back-substitution
+
+        B[c1, c2] = -B[c1, c1] * sum over c1 < c <= c2 of A[c1, c] * B[c, c2].
+    """
+    pro, ring = matrix.pro, matrix.ring
+    ext = class_extension(pro)
+    k = len(ext)
+
+    def block(rows, cols):
+        return [[matrix.entry(a, b) for b in cols] for a in rows]
+
+    inv = {(i, i): _block_inverse(ring, block(c, c)) for i, c in enumerate(ext)}
+    leq = {(i, j): pro.leq(ext[i][0], ext[j][0]) for i in range(k) for j in range(k)}
+    for span in range(1, k):
+        for i in range(k - span):
+            j = i + span
+            acc = None
+            for l in range(i + 1, j + 1):
+                if leq[(i, j)] and leq[(i, l)] and leq[(l, j)] and (l, j) in inv:
+                    term = _mat_mul(ring, block(ext[i], ext[l]), inv[(l, j)])
+                    acc = term if acc is None else [
+                        [ring.add(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(acc, term)
+                    ]
+            if acc is not None:
+                neg = [[ring.neg(x) for x in row] for row in acc]
+                inv[(i, j)] = _mat_mul(ring, inv[(i, i)], neg)
+    entries = {}
+    for (i, j), blk in inv.items():
+        for a, row in zip(ext[i], blk):
+            for b, v in zip(ext[j], row):
+                entries[(a, b)] = v
+    return IncMatrix(pro, ring, entries)
+
+
+def spoil(matrix, classes, rng):
+    """A non-unit: in each of `classes`, one row of the class block scaled by
+    a non-unit (zero over a field), so its determinant is a non-unit too."""
+    ring = matrix.ring
+    k = ring.canon(NON_UNITS.get(ring.name, 0))
+    entries = dict(matrix.entries)
+    for c in classes:
+        row = rng.choice(sorted(c, key=elem_key))
+        for b in c:
+            entries[(row, b)] = ring.mul(k, matrix.entry(row, b))
+    return IncMatrix(matrix.pro, ring, entries)
+
+
+ORACLE_RINGS = (ZZ, QQ, ModRing(9), ModRing(6), PrimeField(2), PrimeField(5))
+
+
+def test_invert_matches_backsubstitution_oracle():
+    """240 seeded units on prosets of up to 8 points, half of them with a
+    multi-point class, and from each a non-unit with one or two singular
+    class blocks."""
+    rng = random.Random(131)
+    multi = 0
+    for ring in ORACLE_RINGS:
+        for _ in range(40):
+            pro = random_proset(rng.randint(1, 8), rng)
+            multi += any(len(c) > 1 for c in pro.classes())
+            a = random_invertible(pro, ring, rng)
+            assert invert(a) == backsub_inverse(a)
+            classes = pro.classes()
+            spoilt = rng.sample(range(len(classes)), min(len(classes), rng.randint(1, 2)))
+            bad = spoil(a, [classes[i] for i in spoilt], rng)
+            with pytest.raises(NotInvertible):
+                backsub_inverse(bad)
+            with pytest.raises(NotInvertible) as err:
+                invert(bad)
+            # the message names the first singular class in classes() order
+            want = tuple(sorted(classes[min(spoilt)], key=elem_key))
+            assert str(err.value) == "class block %r has non-unit determinant" % (want,)
+    assert multi >= 120
+
+
+def test_invert_matches_oracle_on_chains_and_blocks():
+    """Long chains of classes, where N needs several squarings."""
+    rng = random.Random(137)
+    for ring in ORACLE_RINGS:
+        for sizes in [(1,) * 8, (2, 1, 2, 1, 2), (3, 3, 2), (1, 2, 1, 2, 1, 1)]:
+            labels = [(i, j) for i, n in enumerate(sizes) for j in range(n)]
+            rel = [(a, b) for a in labels for b in labels if a[0] <= b[0]]
+            pro = Proset(labels, rel)
+            a = random_invertible(pro, ring, rng)
+            assert invert(a) == backsub_inverse(a)
+
+
+def test_chain8_invert_takes_seven_products(monkeypatch):
+    """N = D^-1 * off, then x + N x and N^2, N^2 x and N^4, N^4 x and N^8 = 0."""
+    ring = PrimeField(5)
+    pro = Proset(range(8), [(i, i + 1) for i in range(7)])
+    a = random_invertible(pro, ring, random.Random(139))
+    calls = []
+    mul = IncMatrix.mul
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(IncMatrix, "mul", counted)
+    b = invert(a)
+    monkeypatch.undo()
+    assert len(calls) <= 7
+    assert a.mul(b) == identity(pro, ring) == b.mul(a)
+
+
+def test_random_invertible_stream_is_unchanged():
+    """Draws recorded before the same-class test became pro.leq(s2, s1):
+    the matrices and the generator state after them are the same."""
+    pro = Proset(["a", "b", "c", "d"], [("a", "b"), ("b", "a"), ("b", "c"), ("d", "a")])
+    got = random_invertible(pro, PrimeField(5), random.Random(7))
+    assert repr(got) == (
+        "IncMatrix{('a','a')=4, ('a','b')=4, ('a','c')=2, ('b','a')=3, ('b','b')=4, "
+        "('b','c')=4, ('c','c')=1, ('d','b')=4, ('d','c')=1, ('d','d')=1}"
+    )
+    rng = random.Random(113)
+    digest = hashlib.sha256()
+    for ring in (ZZ, QQ, ModRing(9), ModRing(6), PrimeField(2), PrimeField(5)):
+        for _ in range(40):
+            pro = random_proset(rng.randrange(1, 8), rng)
+            digest.update(repr(random_invertible(pro, ring, rng)).encode())
+    digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == "055d4fde2d7aa5eeaa85b9855f986a2f4d40cb4e25510365c2f12db7639f0e44"
