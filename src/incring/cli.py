@@ -50,7 +50,7 @@ from .io import (
 from .lazy import lazy_invert, lazy_mul, qz_window_check
 from .prosets import elem_key
 from .recovery import MatrixAccess, recover_poset, scramble
-from .rings import ModRing, PrimeField, QQ, ZZ
+from .rings import QQ, ZZ
 
 
 def _load_ref(text):
@@ -77,10 +77,9 @@ def _ring_arg(text):
         return ZZ
     if text == "Q":
         return QQ
-    if text.startswith("mod:"):
-        return ModRing(int(text.split(":", 1)[1]))
-    if text.startswith("gf:"):
-        return PrimeField(int(text.split(":", 1)[1]))
+    key, colon, value = text.partition(":")
+    if colon and key in ("mod", "gf"):
+        return ring_from_json({key: int(value) if value.isdecimal() else value})
     return ring_from_json(_load_ref(text))
 
 

@@ -538,12 +538,12 @@ def reassemble(tree):
     if tree["leaf"]:
         return tree["proset"]
     pro = tree["proset"]
-    left, right, mid = _cut_pieces(pro, *tree["cut"])
+    mid = _cut_pieces(pro, *tree["cut"])[2]
     pl = reassemble(tree["left"])
     pr = reassemble(tree["right"])
     pm = pro.restrict(mid)
-    iso_l = pro.restrict(left).poset_isomorphic(pl)
-    iso_r = pro.restrict(right).poset_isomorphic(pr)
+    iso_l = tree["left"]["proset"].poset_isomorphic(pl)
+    iso_r = tree["right"]["proset"].poset_isomorphic(pr)
     if iso_l is None or iso_r is None:
         raise NoValidCutPair("a rebuilt piece lost its shape")
     fl = FccMap(pm, pl, {s: iso_l[s] for s in mid})

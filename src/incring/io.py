@@ -95,6 +95,17 @@ def _maybe_file(obj):
     return obj
 
 
+def _modulus_ring(make, key, n, what):
+    """make(n) for the value n of a ring descriptor's `key`; MalformedInput
+    names a value that is not `what`."""
+    if isinstance(n, int) and not isinstance(n, bool) and n >= 2:
+        try:
+            return make(n)
+        except ValueError:
+            pass
+    raise MalformedInput("ring %r must be %s, got %s" % (key, what, json.dumps(n, default=str)))
+
+
 def ring_from_json(obj):
     obj = _maybe_file(obj)
     if isinstance(obj, dict) and "ring" in obj:
@@ -104,9 +115,9 @@ def ring_from_json(obj):
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and "mod" in obj:
-        return ModRing(int(obj["mod"]))
+        return _modulus_ring(ModRing, "mod", obj["mod"], "an integer >= 2")
     if isinstance(obj, dict) and "gf" in obj:
-        return PrimeField(int(obj["gf"]))
+        return _modulus_ring(PrimeField, "gf", obj["gf"], "a prime")
     raise MalformedInput("unrecognized ring %r" % (obj,))
 
 

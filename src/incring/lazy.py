@@ -4,16 +4,18 @@ limit aGL.
 
 A lazy matrix answers one coordinate at a time.  Finitary ones carry a
 descriptor (finite off-diagonal support, finitely many diagonal exceptions
-over a scalar default) and support eager multiplication and inversion:
-inverting only ever needs the finite interval closure of the support, because
-all entries crossing that region vanish, so the matrix splits as a finite
-block plus a scalar diagonal.
+over a scalar default) and support eager multiplication and inversion on the
+finite set of sites their descriptors touch.  The matrices whose off-diagonal
+support lies inside the sites and whose diagonal is scalar outside them form
+a subring, and restriction to the sites is multiplicative on it, so a product
+or an inverse is the M_n(P) product or inverse of the blocks on the sites
+plus a scalar diagonal elsewhere.
 """
 
 from .errors import IncompatibleOperands, InfiniteNeighborhood, NotConvex, NotInvertible
 from .glgroup import certify, enumerate_invertibles, invert, mulclose
 from .matrices import IncMatrix, identity, unit
-from .prosets import AugmentedFamily, interval_closure
+from .prosets import AugmentedFamily
 
 __all__ = [
     "LazyMatrix",
@@ -90,19 +92,25 @@ class LazyMatrix:
         window = list(window)
         if check_convex and not self.family.is_convex(window):
             raise NotConvex("window is not convex in the family")
-        sub = self.family.restrict(window)
-        entries = {}
-        for a in window:
-            for b in window:
-                if sub.leq(a, b):
-                    v = self.entry(a, b)
-                    if v != self.ring.zero:
-                        entries[(a, b)] = v
-        return IncMatrix(sub, self.ring, entries)
+        return _read(self, self.family.restrict(window), window)
 
     def __repr__(self):
         kind = "finitary" if self.finitary is not None else "oracle"
         return "LazyMatrix(%s over %r)" % (kind, self.family)
+
+
+def _read(a, sub, window):
+    """The entries of `a` on the order pairs of `sub`, the subproset the
+    family induces on `window`, as an IncMatrix."""
+    zero = a.ring.zero
+    entries = {}
+    for x in window:
+        for y in window:
+            if sub.leq(x, y):
+                v = a.entry(x, y)
+                if v != zero:
+                    entries[(x, y)] = v
+    return IncMatrix(sub, a.ring, entries)
 
 
 def lazy_from_oracle(family, ring, fn):
@@ -128,6 +136,18 @@ def _convolve(family, ring, a, b, s1, s2):
     return acc
 
 
+def _on_sites(op, default, *operands):
+    """op on finitary operands, run on the blocks they induce on the union
+    of their sites; `default` is the result's diagonal off the sites."""
+    family, ring = operands[0].family, operands[0].ring
+    sites = set().union(*(x.support_sites() for x in operands))
+    sub = family.restrict(sites)
+    block = op(*(_read(x, sub, sub.elements) for x in operands))
+    off = {k: v for k, v in block.entries.items() if k[0] != k[1]}
+    exc = {s: block.entry(s, s) for s in sub.elements}
+    return LazyMatrix(family, ring, finitary=(off, exc, default))
+
+
 def lazy_mul(a, b):
     """Product of lazy matrices; finitary operands produce a finitary result,
     anything else a memoized convolution oracle."""
@@ -135,58 +155,8 @@ def lazy_mul(a, b):
         raise IncompatibleOperands("lazy operands over different families or rings")
     family, ring = a.family, a.ring
     if a.finitary is not None and b.finitary is not None:
-        offa, exca, da = a.finitary
-        offb, excb, db = b.finitary
-        default = ring.mul(da, db)
-        cands = set(offa) | set(offb)
-        for (x, t) in offa:
-            for (t2, y) in offb:
-                if t == t2:
-                    cands.add((x, y))
-        off = {}
-        for (s1, s2) in cands:
-            if s1 == s2 or not family.leq(s1, s2):
-                continue
-            v = _convolve(family, ring, a, b, s1, s2)
-            if v != ring.zero:
-                off[(s1, s2)] = v
-        sites = set(exca) | set(excb)
-        for (x, y) in list(offa) + list(offb):
-            sites.add(x)
-            sites.add(y)
-        exc = {}
-        for s in sites:
-            v = _convolve(family, ring, a, b, s, s)
-            if v != default:
-                exc[s] = v
-        return LazyMatrix(family, ring, finitary=(off, exc, default))
+        return _on_sites(IncMatrix.mul, ring.mul(a.finitary[2], b.finitary[2]), a, b)
     return LazyMatrix(family, ring, oracle=lambda s1, s2: _convolve(family, ring, a, b, s1, s2))
-
-
-def _finitary_inverse(a):
-    off, exc, default = a.finitary
-    family, ring = a.family, a.ring
-    if not ring.is_unit(default):
-        raise NotInvertible("diagonal default %s is not a unit" % ring.format(default))
-    dinv = ring.inv(default)
-    sites = a.support_sites()
-    if not sites:
-        return LazyMatrix(family, ring, finitary=({}, {}, dinv))
-    region = interval_closure(family, sites)
-    # off the region every row and column is scalar `default`, so the matrix
-    # splits as (block on the region) + default*identity elsewhere and the
-    # block inverts inside the induced subproset
-    block = a.project(region, check_convex=False)
-    inv = invert(block)
-    ioff = {}
-    iexc = {}
-    for (s1, s2), v in inv.entries.items():
-        if s1 == s2:
-            if v != dinv:
-                iexc[s1] = v
-        else:
-            ioff[(s1, s2)] = v
-    return LazyMatrix(family, ring, finitary=(ioff, iexc, dinv))
 
 
 def lazy_invert(a):
@@ -199,7 +169,10 @@ def lazy_invert(a):
     """
     family, ring = a.family, a.ring
     if a.finitary is not None:
-        return _finitary_inverse(a)
+        default = a.finitary[2]
+        if not ring.is_unit(default):
+            raise NotInvertible("diagonal default %s is not a unit" % ring.format(default))
+        return _on_sites(invert, ring.inv(default), a)
 
     def coord(s1, s2):
         box = family.interval(s1, s2)

@@ -131,6 +131,18 @@ def test_missing_option_is_exit_1_without_traceback(capsys, argv, flag):
      "unrecognized ring 'X'"),
     (["proset", "window", "--family", '{"family": "Q"}', "--k", "2"],
      "unrecognized family {'family': 'Q'}"),
+    (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": {"mod": [1]}}', "--b", "{}"],
+     "ring 'mod' must be an integer >= 2, got [1]"),
+    (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": {"mod": 1}}', "--b", "{}"],
+     "ring 'mod' must be an integer >= 2, got 1"),
+    (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": {"gf": 4}}', "--b", "{}"],
+     "ring 'gf' must be a prime, got 4"),
+    (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": {"gf": true}}', "--b", "{}"],
+     "ring 'gf' must be a prime, got true"),
+    (["group", "random", "--proset", '{"elements": [0]}', "--ring", "gf:4"],
+     "ring 'gf' must be a prime, got 4"),
+    (["group", "random", "--proset", '{"elements": [0]}', "--ring", "mod:x"],
+     'ring \'mod\' must be an integer >= 2, got "x"'),
 ])
 def test_malformed_input_is_typed(capsys, argv, message):
     code = main(argv)
@@ -337,6 +349,23 @@ def test_lazy_invert_window(capsys):
     assert code == 0
     entries = {(a, b): v for a, b, v in report["window_matrix"]["entries"]}
     assert entries[(0, 1)] == "3"  # -2 mod 5
+
+
+def test_lazy_invert_keeps_zero_diagonal(capsys):
+    """The swap of the class {3, 4} is its own inverse: the zero diagonal at
+    3 and 4 must come back, not the default 1."""
+    lz = json.dumps({
+        "family": {"augment": {"base": {"family": "N"}, "sets": [[3, 4]]}},
+        "ring": {"gf": 2},
+        "off_diagonal": [[3, 4, "1"], [4, 3, "1"]],
+        "diagonal_exceptions": [[3, "0"], [4, "0"]],
+    })
+    code, out = run(capsys, "lazy", "invert", "--input", lz)
+    inverse = json.loads(out)["inverse"]
+    assert code == 0
+    assert inverse["off_diagonal"] == [[3, 4, "1"], [4, 3, "1"]]
+    assert inverse["diagonal_exceptions"] == [[3, "0"], [4, "0"]]
+    assert inverse["diagonal_default"] == "1"
 
 
 def test_experiment_commutators(capsys, tmp_path):

@@ -38,6 +38,9 @@ def test_ring_round_trip():
     assert ring_from_json({"ring": {"gf": 5}}) == PrimeField(5)
     with pytest.raises(MalformedInput):
         ring_from_json({"field": 5})
+    for bad in ({"mod": [1]}, {"mod": 1}, {"mod": True}, {"mod": "6"}, {"gf": 4}, {"gf": 5.0}):
+        with pytest.raises(MalformedInput, match="must be"):
+            ring_from_json(bad)
 
 
 def test_proset_round_trip_and_string_keys():
