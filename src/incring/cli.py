@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import __version__
-from .errors import IncRingError, UnknownElement
+from .errors import IncRingError, MalformedInput, UnknownElement
 from .functor_cat import (
     coequalizer,
     compose,
@@ -48,7 +48,7 @@ from .io import (
     ring_from_json,
 )
 from .lazy import lazy_invert, lazy_mul, qz_window_check
-from .prosets import elem_key
+from .prosets import Proset, elem_key
 from .recovery import MatrixAccess, recover_poset, scramble
 from .rings import QQ, ZZ
 
@@ -95,6 +95,13 @@ def _family_arg(text):
     return family_from_json(_load_ref(text))
 
 
+def _window(fam, k):
+    """The k-th window of an infinite family, in elem_key order."""
+    if isinstance(fam, Proset):
+        raise MalformedInput("the family is a finite proset, which has no window chain")
+    return sorted(fam.window(k), key=elem_key)
+
+
 def _label(text):
     try:
         return int(text)
@@ -128,18 +135,14 @@ def _centrality(m):
 
 
 def _qz_report(fam, ring, window, inner):
-    return qz_window_check(
-        fam, ring,
-        sorted(fam.window(window), key=elem_key),
-        sorted(fam.window(inner), key=elem_key),
-    )
+    return qz_window_check(fam, ring, _window(fam, window), _window(fam, inner))
 
 
 def _window_payload(payload, m, family, k):
     """Add the projection of `m` to the family's k-th window, if asked."""
     if k is not None:
-        win = family.window(k)
-        payload["window"] = sorted(win, key=elem_key)
+        win = _window(family, k)
+        payload["window"] = win
         payload["window_matrix"] = matrix_to_json(m.project(win))
     return payload
 
@@ -170,7 +173,7 @@ def cmd_proset(args):
         return _emit(args, {"interval": sorted(fam.interval(*ends), key=elem_key)})
     if args.action == "window":
         fam = _family_arg(args.family)
-        return _emit(args, {"window": sorted(fam.window(_need(args.k, "--k")), key=elem_key)})
+        return _emit(args, {"window": _window(fam, _need(args.k, "--k"))})
     if args.action == "closure":
         pro = proset_from_json(_load_ref(args.proset))
         subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
@@ -242,9 +245,8 @@ def cmd_group(args):
 def cmd_lazy(args):
     if args.action == "project":
         lz = lazy_from_json(_load_ref(args.input))
-        win = lz.family.window(_need(args.window, "--window"))
-        return _emit(args, {"window": sorted(win, key=elem_key),
-                            "matrix": matrix_to_json(lz.project(win))})
+        win = _window(lz.family, _need(args.window, "--window"))
+        return _emit(args, {"window": win, "matrix": matrix_to_json(lz.project(win))})
     if args.action == "invert":
         lz = lazy_from_json(_load_ref(args.input))
         inv = lazy_invert(lz)

@@ -24,7 +24,7 @@ from .errors import (
     NotParallel,
 )
 from .matrices import IncMatrix, identity, scalar_diag, unit
-from .prosets import Proset, elem_key
+from .prosets import Proset, _close, _flood, elem_key
 from .rings import PrimeField
 
 __all__ = [
@@ -256,14 +256,19 @@ class _Partition:
 
 def _quotient_of(parts, carriers):
     """Quotient proset of tagged carriers by a partition: classes become
-    frozensets, order is the transitive closure of the pushed-down relations."""
+    frozensets, order is the transitive closure of the pushed-down relations.
+
+    The classes come in the order of their roots' indices.  That is their
+    elem_key order with no sort of nested frozensets: the items are listed
+    in elem_key order and each root is its class's least item."""
     classes = parts.classes()
     label = {x: classes[parts.find(x)] for x in parts.parent}
+    order = tuple(classes[r] for r in sorted(classes, key=parts.index.__getitem__))
     rel = []
     for i, pro in carriers:
         for (s1, s2) in pro.pairs():
             rel.append((label[(i, s1)], label[(i, s2)]))
-    return Proset(set(classes.values()), rel), label
+    return Proset._closed(order, _close(order, rel)), label
 
 
 def _forced_collapse(parts, carriers):
@@ -468,6 +473,12 @@ def _cut_pieces(pro, a, b):
     return left, right, mid
 
 
+def _connected(pro, piece):
+    """The subproset on `piece` is connected: comparability inside it is
+    comparability in `pro`."""
+    return len(_flood(pro, piece[0], piece)) == len(piece)
+
+
 def generation_decompose(pro):
     """Split a connected proset along a pair of classes whose removal leaves
     connected overlapping pieces whose pushout rebuilds the whole thing, down
@@ -482,12 +493,13 @@ def generation_decompose(pro):
         left, right, mid = _cut_pieces(pro, a, b)
         if not left or not right or not mid:
             continue
-        pl, pr, pm = pro.restrict(left), pro.restrict(right), pro.restrict(mid)
-        # the pieces recurse, so they must be connected; the overlap may fall
+        # the pieces recurse, so they must be connected, which the ambient
+        # order decides before anything is restricted; the overlap may fall
         # apart (gluing a vee to a wedge across a two-point antichain is how
         # the diamond arises), its components just embed piecewise
-        if not (pl.is_irreducible() and pr.is_irreducible()):
+        if not (_connected(pro, left) and _connected(pro, right)):
             continue
+        pl, pr, pm = pro.restrict(left), pro.restrict(right), pro.restrict(mid)
         fl = FccMap(pm, pl, {s: s for s in mid})
         fr = FccMap(pm, pr, {s: s for s in mid})
         try:

@@ -130,6 +130,19 @@ def _label(obj):
     return tuple(_label(x) for x in obj) if isinstance(obj, list) else obj
 
 
+def _element(obj, path):
+    """A proset element read from the JSON label `obj` found at `path`; an
+    object, alone or inside an array, is no label."""
+    label = _label(obj)
+    try:
+        hash(label)
+    except TypeError:
+        got = json.dumps(obj, default=str)
+        raise MalformedInput("%s must be a string, a number or an array of them, got %s"
+                             % (path, got)) from None
+    return label
+
+
 def _resolve(label, elements):
     """Match a JSON label against proset elements, tolerating the string
     coercion JSON object keys force on integers."""
@@ -149,7 +162,9 @@ def proset_from_json(obj, path="$"):
         if isinstance(fam, Proset):
             return fam
         raise MalformedInput("%s is an infinite family, not a finite proset" % path)
-    elements = [_label(e) for e in _shaped(require(obj, "elements", path), path + ".elements")]
+    at = path + ".elements"
+    elements = [_element(e, "%s[%d]" % (at, i))
+                for i, e in enumerate(_shaped(require(obj, "elements", path), at))]
     rel = [
         (_resolve(a, elements), _resolve(b, elements))
         for a, b in _rows(obj, "relations", path, 2)

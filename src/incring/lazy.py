@@ -88,11 +88,15 @@ class LazyMatrix:
         return sites
 
     def project(self, window, check_convex=True):
-        """pi_window: restriction to a finite convex window, as an IncMatrix."""
+        """pi_window: restriction to a finite convex window, as an IncMatrix.
+        The family keeps the subproset of a window that passed the convexity
+        test, so projecting onto it again reuses it."""
         window = list(window)
-        if check_convex and not self.family.is_convex(window):
-            raise NotConvex("window is not convex in the family")
-        return _read(self, self.family.restrict(window), window)
+        if check_convex:
+            sub = self.family._window_proset(window)
+        else:
+            sub = self.family.restrict(window)
+        return _read(self, sub, window)
 
     def __repr__(self):
         kind = "finitary" if self.finitary is not None else "oracle"

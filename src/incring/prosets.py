@@ -19,6 +19,7 @@ from .errors import (
     InfiniteNeighborhood,
     LocalFinitenessBudgetExceeded,
     NotConnected,
+    NotConvex,
     OverlappingAugmentation,
     UnknownElement,
 )
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
+WINDOWS_KEPT = 32  # verified windows a proset or family keeps (_window_proset)
 
 
 def elem_key(x):
@@ -72,13 +74,11 @@ def _raise_unknown(pro, labels):
 def _flood(pro, start, within):
     """The piece of `within` reached from `start` along comparabilities
     inside `within`."""
-    leq = pro.leq
     piece = {start}
     rest = set(within) - piece
     stack = [start]
     while stack:
-        t = stack.pop()
-        reached = [u for u in rest if leq(t, u) or leq(u, t)]
+        reached = pro._comparables(stack.pop(), rest)
         rest.difference_update(reached)
         piece.update(reached)
         stack.extend(reached)
@@ -88,15 +88,35 @@ def _flood(pro, start, within):
 def _is_convex(pro, subset):
     """Closed under intervals and connected inside the subset."""
     subset = set(subset)
+    between = pro._between
     try:
         for a in subset:
             for b in subset:
-                if pro.leq(a, b) and not subset.issuperset(pro.interval(a, b)):
+                if not subset.issuperset(between(a, b)):
                     return False
     except KeyError:
         _raise_unknown(pro, subset)
         raise
     return not subset or len(_flood(pro, next(iter(subset)), subset)) == len(subset)
+
+
+def _window_proset(pro, window):
+    """The subproset on `window`, which must be convex (NotConvex otherwise).
+    A window that passes is kept, keyed by its set of elements, so the next
+    request for it skips the test and the restriction; past WINDOWS_KEPT of
+    them the oldest is dropped."""
+    key = frozenset(window)
+    if pro._windows is None:
+        pro._windows = {}
+    kept = pro._windows
+    sub = kept.get(key)
+    if sub is None:
+        if not pro.is_convex(key):
+            raise NotConvex("window is not convex in the family")
+        sub = kept[key] = pro.restrict(key)
+        if len(kept) > WINDOWS_KEPT:
+            del kept[next(iter(kept))]
+    return sub
 
 
 def _neighborhood(pro, s, n):
@@ -117,38 +137,65 @@ def _neighborhood(pro, s, n):
     return frozenset(reached)
 
 
+def _close(elements, relations):
+    """The up-sets of the reflexive-transitive closure of `relations` on
+    `elements`, as a dict in element order."""
+    adj = {s: set() for s in elements}
+    for a, b in relations:
+        if a not in adj or b not in adj:
+            raise ValueError("relation (%r, %r) uses unknown elements" % (a, b))
+        adj[a].add(b)
+    up = {}
+    # forward search from every element
+    for s in elements:
+        seen = {s}
+        stack = list(adj[s])
+        while stack:
+            t = stack.pop()
+            if t not in seen:
+                seen.add(t)
+                stack.extend(adj[t])
+        up[s] = frozenset(seen)
+    return up
+
+
 class Proset:
     """Finite preordered set.  Immutable after construction, so pairs(),
-    opposite() and classes() are each computed on first use and kept.
-    `rank` maps each element to its place in the elem_key order of
-    `elements`; later orderings sort by it."""
+    opposite(), classes() and components() are each computed on first use
+    and kept.  `rank` maps each element to its place in the elem_key order
+    of `elements`; later orderings sort by it.
 
-    _pairs = _opposite = _classes = None
+    Construction sorts the elements, closes the relations (`_close`) and
+    finishes, deriving `rank` and the down-sets.  A derived proset enters at
+    the step it needs (`_closed`): a restriction, the opposite and a family
+    window bring sets that are already closed, and a quotient whose classes
+    already come in order only closes its relations."""
+
+    _pairs = _opposite = _classes = _components = _windows = None
 
     def __init__(self, elements, relations=()):
-        self.elements = _sorted(set(elements))
-        self.rank = {s: i for i, s in enumerate(self.elements)}
-        up = {s: {s} for s in self.elements}
-        adj = {s: set() for s in self.elements}
-        for a, b in relations:
-            if a not in self.rank or b not in self.rank:
-                raise ValueError("relation (%r, %r) uses unknown elements" % (a, b))
-            adj[a].add(b)
-        # transitive closure by forward search from every element
-        for s in self.elements:
-            stack = list(adj[s])
-            seen = up[s]
-            while stack:
-                t = stack.pop()
-                if t not in seen:
-                    seen.add(t)
-                    stack.extend(adj[t])
-        self._up = {s: frozenset(ts) for s, ts in up.items()}
-        down = {s: set() for s in self.elements}
-        for s in self.elements:
-            for t in self._up[s]:
-                down[t].add(s)
-        self._down = {s: frozenset(ts) for s, ts in down.items()}
+        elements = _sorted(set(elements))
+        self._finish(elements, _close(elements, relations))
+
+    @classmethod
+    def _closed(cls, elements, up, down=None):
+        """The proset on `elements`, already in elem_key order, whose up-sets
+        `up` are closed; the down-sets are derived unless given."""
+        pro = cls.__new__(cls)
+        pro._finish(elements, up, down)
+        return pro
+
+    def _finish(self, elements, up, down=None):
+        self.elements = elements
+        self.rank = {s: i for i, s in enumerate(elements)}
+        self._up = up
+        if down is None:
+            down = {s: set() for s in elements}
+            for s in elements:
+                for t in up[s]:
+                    down[t].add(s)
+            down = {s: frozenset(ts) for s, ts in down.items()}
+        self._down = down
 
     # -- basic relation ----------------------------------------------------
 
@@ -172,6 +219,14 @@ class Proset:
         if s2 not in self._up[s1]:
             return ()
         return tuple(sorted(self._up[s1] & self._down[s2], key=self.rank.__getitem__))
+
+    # _flood, _is_convex and interval_closure read these unsorted sets
+
+    def _between(self, s1, s2):
+        return self._up[s1] & self._down[s2]
+
+    def _comparables(self, s, among):
+        return among & (self._up[s] | self._down[s])
 
     def equiv_class(self, s):
         return frozenset(t for t in self._up[s] if s in self._up[t])
@@ -209,34 +264,38 @@ class Proset:
         return self.leq(next(iter(c1)), next(iter(c2)))
 
     def components(self):
-        """Connected components of the comparability graph, as frozensets,
-        ordered by their least element."""
-        rest = set(self.elements)
-        out = []
-        for s in self.elements:
-            if s in rest:
-                comp = _flood(self, s, rest)
-                rest -= comp
-                out.append(frozenset(comp))
-        return out
+        """Connected components of the comparability graph, as a tuple of
+        frozensets ordered by their least element."""
+        if self._components is None:
+            rest = set(self.elements)
+            out = []
+            for s in self.elements:
+                if s in rest:
+                    comp = _flood(self, s, rest)
+                    rest -= comp
+                    out.append(frozenset(comp))
+            self._components = tuple(out)
+        return self._components
 
     def restrict(self, subset):
-        """Induced subproset on the given elements."""
-        subset = set(subset)
-        missing = subset - set(self.elements)
+        """Induced subproset on the given elements: the up- and down-sets
+        cut down to them, in this proset's order."""
+        subset = frozenset(subset)
+        missing = subset.difference(self._up)
         if missing:
             raise ValueError("elements %r not in proset" % (_sorted(missing),))
-        rel = [
-            (a, b)
-            for a in subset
-            for b in self._up[a]
-            if b in subset
-        ]
-        return Proset(subset, rel)
+        elements = tuple(s for s in self.elements if s in subset)
+        up, down = self._up, self._down
+        return Proset._closed(
+            elements,
+            {s: up[s] & subset for s in elements},
+            {s: down[s] & subset for s in elements},
+        )
 
     # -- convexity -----------------------------------------------------------
 
     is_convex = _is_convex
+    _window_proset = _window_proset
 
     def convex_closure(self, subset):
         """A convex superset of `subset`, which must sit in one component:
@@ -327,8 +386,7 @@ class Proset:
 
     def opposite(self):
         if self._opposite is None:
-            rel = [(b, a) for a in self.elements for b in self._up[a]]
-            self._opposite = Proset(self.elements, rel)
+            self._opposite = Proset._closed(self.elements, self._down, self._up)
             self._opposite._opposite = self
         return self._opposite
 
@@ -435,8 +493,7 @@ def interval_closure(pro, subset):
     out = set(subset)
     for a in subset:
         for b in subset:
-            if pro.leq(a, b):
-                out.update(pro.interval(a, b))
+            out.update(pro._between(a, b))
     return frozenset(out)
 
 
@@ -453,6 +510,7 @@ class ProsetFamily:
     """
 
     kind = "?"
+    _windows = None
 
     def contains(self, s):
         raise NotImplementedError
@@ -492,14 +550,27 @@ class ProsetFamily:
         return [self.window(k) for k in range(start, start + count)]
 
     def restrict(self, subset):
-        subset = list(subset)
-        for s in subset:
+        """Induced finite subproset; the family's order is already closed."""
+        elements = _sorted(set(subset))
+        for s in elements:
             if not self.contains(s):
                 raise ValueError("%r is not an element of %s" % (s, self.kind))
-        rel = [(a, b) for a in subset for b in subset if self.leq(a, b)]
-        return Proset(subset, rel)
+        leq = self.leq
+        return Proset._closed(
+            elements, {a: frozenset(b for b in elements if leq(a, b)) for a in elements}
+        )
+
+    # _flood, _is_convex and interval_closure read these through leq and interval
+
+    def _between(self, s1, s2):
+        return self.interval(s1, s2) if self.leq(s1, s2) else ()
+
+    def _comparables(self, s, among):
+        leq = self.leq
+        return {u for u in among if leq(s, u) or leq(u, s)}
 
     is_convex = _is_convex
+    _window_proset = _window_proset
 
     def is_poset(self):
         return True

@@ -297,6 +297,29 @@ def test_malformed_value_is_typed(capsys, argv, message):
     assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
 
 
+NO_WINDOWS = "the family is a finite proset, which has no window chain"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["algebra", "mul", "--a", '{"proset":{"elements":[{"a":1}]},"ring":"Q"}', "--b", "{}"],
+     '$.proset.elements[0] must be a string, a number or an array of them, got {"a": 1}'),
+    (["proset", "check", "--proset", '{"elements":[0,[1,{"b":2}]]}'],
+     '$.elements[1] must be a string, a number or an array of them, got [1, {"b": 2}]'),
+    (["proset", "window", "--family", '{"elements":[[]],"relations":[]}', "--k", "1"], NO_WINDOWS),
+    (["proset", "window", "--family", "two_block:2,1", "--k", "1"], NO_WINDOWS),
+    (["lazy", "project", "--input", '{"family":{"elements":[0]},"ring":"Q"}', "--window", "1"],
+     NO_WINDOWS),
+    (["lazy", "qz", "--family", "two_block:2,1", "--ring", "gf:2", "--window", "2", "--inner", "1"],
+     NO_WINDOWS),
+])
+def test_finite_windows_and_object_labels_are_typed(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
+
+
 def test_one_point_bundle_recovers(capsys):
     code, out = run(capsys, "recover", "--input", bundle(), "--mode", "exhaustive")
     assert code == 0

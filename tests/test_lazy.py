@@ -19,8 +19,16 @@ from incring.lazy import (
     named_oracle,
     qz_window_check,
 )
-from incring.matrices import identity
-from incring.prosets import AugmentedFamily, NFamily, NStarDivFamily, ZFamily, ZigFamily, two_block
+from incring.matrices import IncMatrix, identity
+from incring.prosets import (
+    WINDOWS_KEPT,
+    AugmentedFamily,
+    NFamily,
+    NStarDivFamily,
+    ZFamily,
+    ZigFamily,
+    two_block,
+)
 from incring.rings import ModRing, PrimeField, QQ, ZZ
 from incring.samples import random_finitary
 
@@ -247,3 +255,43 @@ def test_qz_rejects_leaky_inner():
     fam = NFamily()
     with pytest.raises(Exception):
         qz_window_check(fam, PrimeField(2), fam.window(4), fam.window(1))
+
+
+def test_projection_windows_are_kept_once_verified():
+    rng = random.Random(21)
+    cases = [
+        (fam, random_finitary(fam, ring, rng, span=2, invertible=False), fam.windows(3))
+        for fam, ring in ((ZigFamily(), PrimeField(5)), (NStarDivFamily(), ModRing(4)),
+                          (AugmentedFamily(ZFamily(), [{-1, 1}]), QQ))
+    ]
+    tb = two_block(2, 2)
+    cases.append((tb, lazy_finitary(tb, ZZ, off_diag={("b0", "t1"): 3}, exceptions={"t0": 2}),
+                  [tb.elements, ("t0", "t1")]))
+    for fam, a, wins in cases:
+        ring = a.ring
+        for win in wins:
+            # a plain IncMatrix over a fresh restriction, with no cache involved
+            sub = fam.restrict(win)
+            entries = {(x, y): a.entry(x, y) for (x, y) in sub.pairs()}
+            expected = IncMatrix(sub, ring, entries)
+            first = a.project(win)
+            assert first == expected
+            for again in (list(win), list(reversed(win))):
+                m = a.project(again)
+                assert m == expected and m.pro is first.pro
+        assert set(fam._windows) == {frozenset(w) for w in wins}
+    # a window that fails the test is refused on every call and never kept
+    fam = ZigFamily()
+    a = lazy_identity(fam, ZZ)
+    for _ in range(3):
+        with pytest.raises(NotConvex):
+            a.project([-1, 1])
+    assert not fam._windows
+    # the kept windows never outnumber the cap; the oldest go first
+    fam = ZFamily()
+    a = lazy_identity(fam, ZZ)
+    for i in range(WINDOWS_KEPT + 10):
+        a.project([i, i + 1])
+        assert len(fam._windows) == min(i + 1, WINDOWS_KEPT)
+    assert frozenset([WINDOWS_KEPT + 9, WINDOWS_KEPT + 10]) in fam._windows
+    assert frozenset([0, 1]) not in fam._windows

@@ -12,6 +12,7 @@ from incring.errors import (
     NotConnected,
     UnknownElement,
 )
+from incring.functor_cat import coequalizer, pushout
 from incring.prosets import (
     AugmentedFamily,
     CustomFamily,
@@ -27,6 +28,8 @@ from incring.samples import (
     enumerate_posets,
     enumerate_prosets,
     irreducible_prosets,
+    random_fcc_map,
+    random_poset,
     random_proset,
 )
 
@@ -366,3 +369,74 @@ def test_not_comparable_raises():
         from incring.matrices import unit
         from incring.rings import ZZ
         unit(VEE, ZZ, "x", "y")
+
+
+# -- derived prosets against a rebuild from scratch ----------------------------------
+
+
+def assert_rebuilt(pro):
+    """A derived proset holds exactly what closing its own pairs from scratch
+    gives, and its kept components and hook-based convexity match the
+    brute-force oracles."""
+    again = Proset(pro.elements, pro.pairs())
+    assert pro.elements == again.elements
+    assert pro.rank == again.rank
+    assert pro._up == again._up
+    assert pro._down == again._down
+    comps = pro.components()
+    assert isinstance(comps, tuple) and pro.components() is comps
+    assert comps == again.components()
+    members = [s for c in comps for s in c]
+    assert len(members) == len(pro) and set(members) == set(pro.elements)
+    assert all(brute_connected(pro.leq, c) for c in comps)
+    assert all(t in c for c in comps for s in c for t in pro.neighborhood(s, 1))
+    for sub in subsets(pro.elements[:6]):
+        assert pro.is_convex(sub) == brute_convex(pro.leq, pro.elements, sub)
+
+
+def random_carriers(rng, count):
+    """Seeded posets and prosets of 1 to 10 points, half of each."""
+    draw = (random_poset, random_proset)
+    return [draw[i % 2](rng.randint(1, 10), rng) for i in range(count)]
+
+
+def test_restrict_and_opposite_match_a_rebuild():
+    rng = random.Random(11)
+    for pro in random_carriers(rng, 40):
+        assert_rebuilt(pro.opposite())
+        for _ in range(4):
+            subset = rng.sample(pro.elements, rng.randint(0, len(pro.elements)))
+            sub = pro.restrict(subset)
+            assert_rebuilt(sub)
+            assert_rebuilt(sub.opposite())
+
+
+def test_family_windows_match_a_rebuild():
+    rng = random.Random(12)
+    custom = CustomFamily(leq=lambda a, b: a <= b, interval=lambda a, b: range(a, b + 1),
+                          window=lambda k: range(-k, k + 1))
+    families = FAMILIES + [custom]
+    assert {fam.kind for fam in families} == {"N", "Z", "Zig", "NStarDiv", "Augmented", "Custom"}
+    for fam in families:
+        for k in range(1, 4):
+            win = fam.window(k)
+            for subset in (win, rng.sample(win, rng.randint(1, len(win)))):
+                sub = fam.restrict(subset)
+                assert_rebuilt(sub)
+                assert all(sub.leq(a, b) == fam.leq(a, b) for a in subset for b in subset)
+
+
+def test_colimit_quotients_match_a_rebuild():
+    rng = random.Random(13)
+    done = 0
+    while done < 40:
+        apex, left, right = (random_carriers(rng, 2)[rng.randrange(2)] for _ in range(3))
+        apex = apex.restrict(apex.elements[:3])
+        try:
+            f, g = random_fcc_map(apex, left, rng), random_fcc_map(apex, right, rng)
+            f2 = random_fcc_map(apex, left, rng)
+        except ValueError:
+            continue
+        assert_rebuilt(pushout(f, g)[0])
+        assert_rebuilt(coequalizer(f, f2)[0])
+        done += 1
