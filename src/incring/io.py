@@ -179,13 +179,16 @@ def proset_to_json(pro):
     }
 
 
-def _coerce_int(x):
-    if isinstance(x, bool):
-        return x
+def _family_element(obj, path):
+    """A family element read from the JSON label `obj` found at `path`: a
+    label as `_element` reads it, taken as an integer where it reads as one."""
+    label = _element(obj, path)
+    if isinstance(label, bool):
+        return label
     try:
-        return int(x)
+        return int(label)
     except (TypeError, ValueError):
-        return x
+        return label
 
 
 def family_from_json(obj, path="$"):
@@ -194,7 +197,10 @@ def family_from_json(obj, path="$"):
         desc, at = obj["augment"], path + ".augment"
         base = family_from_json(require(desc, "base", at), at + ".base")
         require(desc, "sets", at)
-        sets = [frozenset(_coerce_int(x) for x in s) for s in _rows(desc, "sets", at)]
+        sets = [
+            frozenset(_family_element(x, "%s.sets[%d][%d]" % (at, i, j)) for j, x in enumerate(s))
+            for i, s in enumerate(_rows(desc, "sets", at))
+        ]
         return AugmentedFamily(base, sets)
     if isinstance(obj, dict) and "family" in obj:
         desc = obj["family"]
@@ -252,11 +258,14 @@ def lazy_from_json(obj, path="$"):
     if "oracle" in obj:
         return named_oracle(obj["oracle"], fam, ring)
     off = {}
+    at = path + ".off_diagonal"
     for i, (s1, s2, v) in enumerate(_rows(obj, "off_diagonal", path, 3)):
-        off[(_coerce_int(s1), _coerce_int(s2))] = parse_value(ring, v, path + ".off_diagonal", i, 2)
+        a, b = (_family_element(x, "%s[%d][%d]" % (at, i, j)) for j, x in enumerate((s1, s2)))
+        off[(a, b)] = parse_value(ring, v, at, i, 2)
     exc = {}
+    at = path + ".diagonal_exceptions"
     for i, (s, v) in enumerate(_rows(obj, "diagonal_exceptions", path, 2)):
-        exc[_coerce_int(s)] = parse_value(ring, v, path + ".diagonal_exceptions", i, 1)
+        exc[_family_element(s, "%s[%d][0]" % (at, i))] = parse_value(ring, v, at, i, 1)
     default = parse_value(ring, obj.get("diagonal_default", "1"), path + ".diagonal_default")
     return lazy_finitary(fam, ring, off_diag=off, exceptions=exc, default=default)
 

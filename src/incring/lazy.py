@@ -12,9 +12,9 @@ or an inverse is the M_n(P) product or inverse of the blocks on the sites
 plus a scalar diagonal elsewhere.
 """
 
-from .errors import IncompatibleOperands, InfiniteNeighborhood, NotConvex, NotInvertible
+from .errors import IncompatibleOperands, InfiniteNeighborhood, NotInvertible, UnknownElement
 from .glgroup import certify, enumerate_invertibles, invert, mulclose
-from .matrices import IncMatrix, identity, unit
+from .matrices import IncMatrix, _read, identity, unit
 from .prosets import AugmentedFamily
 
 __all__ = [
@@ -49,15 +49,18 @@ class LazyMatrix:
             off, exc, default = finitary
             off = {k: ring.canon(v) for k, v in off.items()}
             off = {k: v for k, v in off.items() if v != ring.zero}
+            exc = {s: ring.canon(v) for s, v in exc.items()}
+            default = ring.canon(default)
+            exc = {s: v for s, v in exc.items() if v != default}
+            self.finitary = (off, exc, default)
+            for s in self.support_sites():
+                if s not in family:
+                    raise UnknownElement("%r is not an element of %r" % (s, family))
             for (s1, s2) in off:
                 if s1 == s2 or not family.leq(s1, s2):
                     raise IncompatibleOperands(
                         "off-diagonal key (%r, %r) is not a strict order pair" % (s1, s2)
                     )
-            exc = {s: ring.canon(v) for s, v in exc.items()}
-            default = ring.canon(default)
-            exc = {s: v for s, v in exc.items() if v != default}
-            self.finitary = (off, exc, default)
             self.oracle = None
         else:
             if oracle is None:
@@ -87,34 +90,15 @@ class LazyMatrix:
             sites.add(b)
         return sites
 
-    def project(self, window, check_convex=True):
-        """pi_window: restriction to a finite convex window, as an IncMatrix.
-        The family keeps the subproset of a window that passed the convexity
-        test, so projecting onto it again reuses it."""
-        window = list(window)
-        if check_convex:
-            sub = self.family._window_proset(window)
-        else:
-            sub = self.family.restrict(window)
-        return _read(self, sub, window)
+    def project(self, window):
+        """pi_window: restriction to a finite convex window (NotConvex
+        otherwise), as an IncMatrix.  The family keeps the subproset of a
+        window that passed the test, so projecting onto it again reuses it."""
+        return _read(self, self.family._window_proset(window))
 
     def __repr__(self):
         kind = "finitary" if self.finitary is not None else "oracle"
         return "LazyMatrix(%s over %r)" % (kind, self.family)
-
-
-def _read(a, sub, window):
-    """The entries of `a` on the order pairs of `sub`, the subproset the
-    family induces on `window`, as an IncMatrix."""
-    zero = a.ring.zero
-    entries = {}
-    for x in window:
-        for y in window:
-            if sub.leq(x, y):
-                v = a.entry(x, y)
-                if v != zero:
-                    entries[(x, y)] = v
-    return IncMatrix(sub, a.ring, entries)
 
 
 def lazy_from_oracle(family, ring, fn):
@@ -146,7 +130,7 @@ def _on_sites(op, default, *operands):
     family, ring = operands[0].family, operands[0].ring
     sites = set().union(*(x.support_sites() for x in operands))
     sub = family.restrict(sites)
-    block = op(*(_read(x, sub, sub.elements) for x in operands))
+    block = op(*(_read(x, sub) for x in operands))
     off = {k: v for k, v in block.entries.items() if k[0] != k[1]}
     exc = {s: block.entry(s, s) for s in sub.elements}
     return LazyMatrix(family, ring, finitary=(off, exc, default))
@@ -182,8 +166,7 @@ def lazy_invert(a):
         box = family.interval(s1, s2)
         if not box:
             return ring.zero
-        block = a.project(box, check_convex=False)
-        return invert(block).entry(s1, s2)
+        return invert(_read(a, family.restrict(box))).entry(s1, s2)
 
     return LazyMatrix(family, ring, oracle=coord)
 
@@ -209,8 +192,9 @@ class AglElement:
     def entry(self, s1, s2):
         return self.body.entry(s1, s2)
 
-    def project(self, window, check_convex=True):
-        return self.body.project(window, check_convex)
+    def project(self, window):
+        """pi_window of the body: see LazyMatrix.project."""
+        return self.body.project(window)
 
     def __repr__(self):
         return "AglElement(S=%r)" % (sorted(self.aug_set),)
@@ -263,17 +247,16 @@ def qz_window_check(family, ring, window, inner, cap=200000):
     window, inner = list(window), list(inner)
     if not set(inner) <= set(window):
         raise ValueError("inner window must sit inside the outer one")
-    for w in (window, inner):
-        if not family.is_convex(w):
-            raise NotConvex("windows must be convex")
+    wpro = family._window_proset(window)
+    # inner sits in a convex window, so it is convex in the family exactly
+    # when it is in wpro; the lifts' projections then land on this ipro
+    ipro = wpro._window_proset(inner)
     closure_sites = set()
     for s in inner:
         closure_sites |= set(family.neighborhood(s, 1))
     if not closure_sites <= set(window):
         raise ValueError("N_1-closure of the inner window leaks outside")
 
-    wpro = family.restrict(window)
-    ipro = family.restrict(inner)
     lifts = []
     gens = []
     one_w = identity(wpro, ring)

@@ -148,21 +148,16 @@ class IncMatrix:
 
     # -- restriction -----------------------------------------------------------
 
-    def project(self, subset, check_convex=True):
-        """Restrict to the induced subproset; a surjective unital ring map
-        when the subset is convex (its kernel is the ideal of that subset)."""
-        subset = set(subset)
-        if check_convex and not self.pro.is_convex(subset):
-            raise NotConvex("projection window %r is not convex" % (sorted(subset, key=elem_key),))
-        sub = self.pro.restrict(subset)
-        kept = {
-            k: v for k, v in self.entries.items() if k[0] in subset and k[1] in subset
-        }
-        return IncMatrix(sub, self.ring, kept)
+    def project(self, window):
+        """pi_window: restriction to a convex window (NotConvex otherwise), a
+        surjective unital ring map whose kernel is the ideal of the window.
+        The proset keeps the subproset of a window that passed the test, so
+        projecting onto it again reuses it."""
+        return _read(self, self.pro._window_proset(window))
 
     def split_components(self):
         """One matrix per component of the proset; their direct sum is A."""
-        return [self.project(c, check_convex=False) for c in self.pro.components()]
+        return [_read(self, self.pro.restrict(c)) for c in self.pro.components()]
 
     # -- comparison ---------------------------------------------------------------
 
@@ -194,6 +189,15 @@ def _raw(pro, ring, entries):
     m.ring = ring
     m.entries = entries
     return m
+
+
+def _read(m, sub):
+    """The entries of `m`, an IncMatrix or a LazyMatrix, on the order pairs
+    of `sub`, a subproset its carrier induces, as an IncMatrix over `sub`.
+    `m` hands out canonical entries, so they are kept as read."""
+    entry, zero = m.entry, m.ring.zero
+    entries = {(s1, s2): v for s1, s2 in sub.pairs() if (v := entry(s1, s2)) != zero}
+    return _raw(sub, m.ring, entries)
 
 
 def zero(pro, ring):

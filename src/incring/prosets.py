@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
-WINDOWS_KEPT = 32  # verified windows a proset or family keeps (_window_proset)
+WINDOWS_KEPT = 32  # verified windows a proset or family keeps for projections
 
 
 def elem_key(x):
@@ -101,8 +101,9 @@ def _is_convex(pro, subset):
 
 
 def _window_proset(pro, window):
-    """The subproset on `window`, which must be convex (NotConvex otherwise).
-    A window that passes is kept, keyed by its set of elements, so the next
+    """The subproset on `window`, which must be convex (NotConvex otherwise):
+    the only way a window becomes a subproset to project matrices onto.  A
+    window that passes is kept, keyed by its set of elements, so the next
     request for it skips the test and the restriction; past WINDOWS_KEPT of
     them the oldest is dropped."""
     key = frozenset(window)
@@ -112,7 +113,7 @@ def _window_proset(pro, window):
     sub = kept.get(key)
     if sub is None:
         if not pro.is_convex(key):
-            raise NotConvex("window is not convex in the family")
+            raise NotConvex("projection window %r is not convex" % (list(_sorted(key)),))
         sub = kept[key] = pro.restrict(key)
         if len(kept) > WINDOWS_KEPT:
             del kept[next(iter(kept))]

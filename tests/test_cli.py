@@ -97,6 +97,25 @@ def test_project_onto_unknown_label_is_exit_1(capsys):
         "type": "UnknownElement", "message": "9 is not an element of the proset"}
 
 
+def test_project_onto_non_convex_window_is_exit_1(capsys):
+    a = json.dumps({"proset": {"elements": [0, 1, 2], "relations": [[0, 1], [1, 2]]},
+                    "ring": "Q", "entries": [[0, 2, "1"]]})
+    code, out = run(capsys, "algebra", "project", "--a", a, "--subset", "0,2")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "NotConvex", "message": "projection window [0, 2] is not convex"}
+
+
+def test_lazy_tuple_labels_multiply(capsys):
+    """A lazy element over a finite proset reads tuple labels as arrays."""
+    fam = {"elements": [[0, 1], [0, 2]], "relations": [[[0, 1], [0, 2]]]}
+    a = json.dumps({"family": fam, "ring": "Q", "off_diagonal": [[[0, 1], [0, 2], "2"]]})
+    b = json.dumps({"family": fam, "ring": "Q", "off_diagonal": [[[0, 1], [0, 2], "3"]]})
+    code, out = run(capsys, "lazy", "mul", "--a", a, "--b", b)
+    assert code == 0
+    assert json.loads(out)["product"]["off_diagonal"] == [[[0, 1], [0, 2], "5"]]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["lazy", "qz", "--family", "Zig", "--ring", "gf:2"], "--window"),
     (["lazy", "qz", "--family", "Zig", "--ring", "gf:2", "--window", "2"], "--inner"),
@@ -152,18 +171,26 @@ def test_malformed_input_is_typed(capsys, argv, message):
     assert json.loads(captured.out)["error"] == {"type": "MalformedInput", "message": message}
 
 
+INTERVALS = ["proset", "intervals"]
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--family", "N", "--from", "-1", "--to", "2"], "-1 is not an element of family N"),
-    (["--family", "nstar_div", "--from", "0", "--to", "4"],
+    (INTERVALS + ["--family", "N", "--from", "-1", "--to", "2"], "-1 is not an element of family N"),
+    (INTERVALS + ["--family", "nstar_div", "--from", "0", "--to", "4"],
      "0 is not an element of family NStarDiv"),
-    (["--family", "nstar_div", "--from", "3", "--to", "1e9"],
+    (INTERVALS + ["--family", "nstar_div", "--from", "3", "--to", "1e9"],
      "'1e9' is not an element of family NStarDiv"),
-    (["--family", "N", "--from", "0", "--to", "x"], "'x' is not an element of family N"),
-    (["--proset", '{"elements": [0, 1], "relations": [[0, 7]]}', "--from", "0", "--to", "1"],
-     "label 7 is not an element"),
+    (INTERVALS + ["--family", "N", "--from", "0", "--to", "x"], "'x' is not an element of family N"),
+    (INTERVALS + ["--proset", '{"elements": [0, 1], "relations": [[0, 7]]}',
+                  "--from", "0", "--to", "1"], "label 7 is not an element"),
+    # an array is a label (a tuple) that Z does not hold
+    (["lazy", "mul", "--a", '{"family":{"family":"Z"},"ring":"Q","off_diagonal":[[[0],1,"1"]]}',
+      "--b", "{}"], "(0,) is not an element of family Z"),
+    (["lazy", "mul", "--a", '{"family":{"family":"N"},"ring":"Q","off_diagonal":[[-2,-1,"1"]]}',
+      "--b", "{}"], "-2 is not an element of family N"),
 ])
 def test_unknown_label_is_typed(capsys, argv, message):
-    code = main(["proset", "intervals"] + argv)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
@@ -311,6 +338,15 @@ NO_WINDOWS = "the family is a finite proset, which has no window chain"
      NO_WINDOWS),
     (["lazy", "qz", "--family", "two_block:2,1", "--ring", "gf:2", "--window", "2", "--inner", "1"],
      NO_WINDOWS),
+    (["lazy", "mul", "--a",
+      '{"family":{"augment":{"base":{"family":"Z"},"sets":[[{"a":1}]]}},"ring":"Q"}', "--b", "{}"],
+     '$.family.augment.sets[0][0] must be a string, a number or an array of them, got {"a": 1}'),
+    (["lazy", "mul", "--a", '{"family":{"family":"Z"},"ring":"Q","off_diagonal":[[0,{"x":1},"2"]]}',
+      "--b", "{}"],
+     '$.off_diagonal[0][1] must be a string, a number or an array of them, got {"x": 1}'),
+    (["lazy", "mul", "--a",
+      '{"family":{"family":"N"},"ring":"Q","diagonal_exceptions":[[{"x":1},"2"]]}', "--b", "{}"],
+     '$.diagonal_exceptions[0][0] must be a string, a number or an array of them, got {"x": 1}'),
 ])
 def test_finite_windows_and_object_labels_are_typed(capsys, argv, message):
     code = main(argv)

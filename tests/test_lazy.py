@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from incring.errors import IncompatibleOperands, NotConvex, NotInvertible
+from incring.errors import IncompatibleOperands, NotConvex, NotInvertible, UnknownElement
 from incring.lazy import (
     AglElement,
     agl_embed,
@@ -47,6 +47,17 @@ def test_entry_and_project():
     assert m.entry(0, 2) == 5 and m.entry(2, 2) == 1
     with pytest.raises(NotConvex):
         a.project([0, 2])
+
+
+@pytest.mark.parametrize("family, off, exc", [
+    (NFamily(), {(-2, -1): 1}, {}),
+    (ZFamily(), {((0,), 1): 1}, {}),
+    (NStarDivFamily(), {}, {0: 2}),
+    (two_block(2, 1), {}, {"x": 2}),
+])
+def test_finitary_sites_must_lie_in_the_family(family, off, exc):
+    with pytest.raises(UnknownElement, match="is not an element of"):
+        lazy_finitary(family, QQ, off_diag=off, exceptions=exc)
 
 
 def test_window_tower_is_compatible():
@@ -249,6 +260,19 @@ def test_qz_window_check_zig():
     report = qz_window_check(fam, PrimeField(2), fam.window(4), fam.window(1))
     assert report["surjective"]
     assert report["gl_inner_order"] == 4
+
+
+def test_qz_windows_are_kept_windows():
+    fam = ZigFamily()
+    outer, inner = fam.window(4), fam.window(1)
+    qz_window_check(fam, PrimeField(2), outer, inner)
+    # the inner window is kept by the outer one's subproset, which the
+    # generators and the projected lifts share
+    assert frozenset(inner) in fam._windows[frozenset(outer)]._windows
+    with pytest.raises(NotConvex, match=r"projection window \[-1, 0, 1, 3\] is not convex"):
+        qz_window_check(fam, PrimeField(2), [-1, 0, 1, 3], [0])
+    with pytest.raises(NotConvex, match=r"projection window \[-1, 1\] is not convex"):
+        qz_window_check(fam, PrimeField(2), outer, [-1, 1])
 
 
 def test_qz_rejects_leaky_inner():

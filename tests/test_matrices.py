@@ -9,6 +9,7 @@ term, kept here as a second oracle.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,7 +29,7 @@ from incring.matrices import (
     unit,
     zero,
 )
-from incring.prosets import Proset
+from incring.prosets import WINDOWS_KEPT, Proset, elem_key
 from incring.rings import ModRing, PrimeField, QQ, ZZ
 from incring.samples import random_matrix, random_proset
 
@@ -240,6 +241,54 @@ def test_project_is_restriction():
     assert set(p.pro.elements) == {0, 1}
     with pytest.raises(NotConvex):
         a.project([0, 2])
+
+
+def test_projection_windows_are_kept_once_verified():
+    for seed in range(8):
+        rng = random.Random(70 + seed)
+        pro = random_proset(rng.randint(4, 8), rng)
+        ring = rng.choice(KERNEL_RINGS)
+        a = random_matrix(pro, ring, rng)
+        convex = pro.gamma_enumerate()
+        wins = rng.sample(convex, min(6, len(convex)))
+        for win in wins:
+            # a plain IncMatrix over a fresh restriction, with no cache involved
+            kept = {k: v for k, v in a.entries.items() if k[0] in win and k[1] in win}
+            expected = IncMatrix(pro.restrict(win), ring, kept)
+            first = a.project(win)
+            assert first == expected
+            ordered = sorted(win, key=elem_key)
+            for again in (ordered, ordered[::-1]):
+                m = a.project(again)
+                assert m == expected and m.pro is first.pro
+            # another matrix over the same proset lands on the same subproset
+            assert random_matrix(pro, ring, rng).project(win).pro is first.pro
+        assert set(pro._windows) == set(wins)
+        # a window that fails the test is refused on every call and never kept
+        bad = [c for k in (2, 3) for c in combinations(pro.elements, k) if not pro.is_convex(c)]
+        if bad:
+            window = rng.choice(bad)
+            for _ in range(3):
+                with pytest.raises(NotConvex):
+                    a.project(window)
+            assert frozenset(window) not in pro._windows
+    chain3 = Proset([0, 1, 2], [(0, 1), (1, 2)])
+    a = identity(chain3, ZZ)
+    for _ in range(3):
+        with pytest.raises(NotConvex, match=r"projection window \[0, 2\] is not convex"):
+            a.project([2, 0])
+        with pytest.raises(UnknownElement, match="9 is not an element of the proset"):
+            a.project([0, 9])
+    assert not chain3._windows
+    # the kept windows never outnumber the cap; the oldest go first
+    n = WINDOWS_KEPT + 10
+    chain = Proset(range(n + 1), [(i, i + 1) for i in range(n)])
+    a = identity(chain, ZZ)
+    for i in range(n):
+        a.project([i, i + 1])
+        assert len(chain._windows) == min(i + 1, WINDOWS_KEPT)
+    assert frozenset([n - 1, n]) in chain._windows
+    assert frozenset([0, 1]) not in chain._windows
 
 
 def test_split_join_round_trip():
