@@ -8,6 +8,7 @@ parse/format pair, and relation lists are sorted.
 """
 
 import json
+import re
 
 from .errors import MalformedInput, UnknownElement
 from .lazy import lazy_finitary, named_oracle
@@ -181,14 +182,16 @@ def proset_to_json(pro):
 
 def _family_element(obj, path):
     """A family element read from the JSON label `obj` found at `path`: a
-    label as `_element` reads it, taken as an integer where it reads as one."""
+    label as `_element` reads it, with a string of digits taken as the
+    integer it spells.  A number that is no integer raises MalformedInput
+    rather than being truncated."""
     label = _element(obj, path)
-    if isinstance(label, bool):
-        return label
-    try:
+    if isinstance(label, float):
+        raise MalformedInput("%s must be an integer or a string label, got %s"
+                             % (path, json.dumps(obj)))
+    if isinstance(label, str) and re.fullmatch(r"-?[0-9]+", label):
         return int(label)
-    except (TypeError, ValueError):
-        return label
+    return label
 
 
 def family_from_json(obj, path="$"):

@@ -555,7 +555,7 @@ class ProsetFamily:
         elements = _sorted(set(subset))
         for s in elements:
             if not self.contains(s):
-                raise ValueError("%r is not an element of %s" % (s, self.kind))
+                raise UnknownElement("%r is not an element of %s" % (s, self.kind))
         leq = self.leq
         return Proset._closed(
             elements, {a: frozenset(b for b in elements if leq(a, b)) for a in elements}
@@ -737,7 +737,7 @@ class AugmentedFamily(ProsetFamily):
                 raise ValueError("augmentation sets must be nonempty")
             for x in s:
                 if not base.contains(x):
-                    raise ValueError("%r is not in the base family" % (x,))
+                    raise UnknownElement("%r is not in the base family" % (x,))
             if s & taken:
                 raise OverlappingAugmentation(
                     "augmentation sets overlap at %r" % (_sorted(s & taken),)

@@ -1,10 +1,16 @@
 """Recovering the underlying poset from ring access alone.
 
-The ring of a finite poset knows its poset: idempotent classes under
-"difference is nilpotent" biject with subsets of the elements, and the atoms
-of the absorption order on classes are the singletons.  One representative
-per atom shows the order: s <= t exactly when e.b.f != 0 for some basis
-element b, with e and f representatives of the atoms of s and t.
+The ring of a finite poset knows its poset.  Over coefficients whose only
+idempotents are 0 and 1, every idempotent is a unit conjugate of some
+diagonal 1_S; the primitive ones are the conjugates of the 1_s, one
+difference-nilpotent class per point.  One primitive per point shows the
+order: s <= t exactly when e.b.f != 0 for some basis element b, with e and
+f the primitives of s and t.  Exhaustive mode finds them by splitting 1:
+among the enumerated idempotents, a node e with a sub-idempotent f outside
+{0, e} (e.f = f.e = f) splits into the orthogonal f and e - f, and the
+nodes left unsplit are the primitives.  Witness mode draws sampled
+primitives and keeps one per difference-nilpotent class.
+
 Everything here works through a small access protocol (add, mul, neg, zero,
 one, is_zero, basis, dim plus either full enumeration or an idempotent
 sampler), so the same code runs on honest matrices and on scrambled
@@ -18,7 +24,7 @@ A bundle product runs one integer kernel.  The table's nonzero structure
 constants are lifted to ints once (`CoeffRing.lift`; over Q with one common
 scale); a product then costs one int multiply-add per stored table term with
 both factors nonzero and one reduction per output coordinate
-(`CoeffRing.lower`).
+(`CoeffRing.lower_all`).
 """
 
 import itertools
@@ -36,6 +42,7 @@ from .matrices import IncMatrix, indicator, unit
 from .prosets import Proset, elem_key
 from .glgroup import random_invertible, invert
 from .io import parse_value
+from .rings import ModRing
 
 __all__ = [
     "is_topologically_nilpotent",
@@ -234,6 +241,7 @@ class BundleAccess:
         self._terms = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for (i, j, k), c in lifted.items():
             self._terms[i][j].append((k, c))
+        self._zero = (ring.zero,) * self.dim
         self._one = tuple(coords(bundle["one"], path + ".one"))
         self._samples = [tuple(coords(v, path + ".samples", i)) for i, v in enumerate(bundle.get("samples", []))]
         self._sampler = sampler
@@ -241,11 +249,11 @@ class BundleAccess:
 
     def add(self, x, y):
         self.ops += 1
-        return tuple(self.ring.add(a, b) for a, b in zip(x, y))
+        return tuple(map(self.ring.add, x, y))
 
     def neg(self, x):
         self.ops += 1
-        return tuple(self.ring.neg(a) for a in x)
+        return tuple(map(self.ring.neg, x))
 
     def mul(self, x, y):
         """One int multiply-add per stored table term whose two factors are
@@ -255,28 +263,29 @@ class BundleAccess:
         a, sa = ring.lift({i: v for i, v in enumerate(x) if v})
         # recovery squares often (idempotence and nilpotence tests): lift once
         b, sb = (a, sa) if y is x else ring.lift({j: v for j, v in enumerate(y) if v})
+        if not a or not b:
+            return self._zero
         b = b.items()
         terms = self._terms
         acc = [0] * self.dim
         for i, xi in a.items():
             row = terms[i]
             for j, yj in b:
-                p = xi * yj
-                for k, c in row[j]:
-                    acc[k] += p * c
-        out = [ring.zero] * self.dim
-        for k, v in ring.lower(dict(enumerate(acc)), sa * sb * self._scale).items():
-            out[k] = v
-        return tuple(out)
+                cell = row[j]
+                if cell:
+                    p = xi * yj
+                    for k, c in cell:
+                        acc[k] += p * c
+        return ring.lower_all(acc, sa * sb * self._scale)
 
     def zero(self):
-        return tuple([self.ring.zero] * self.dim)
+        return self._zero
 
     def one(self):
         return self._one
 
     def is_zero(self, x):
-        return all(a == self.ring.zero for a in x)
+        return x == self._zero
 
     def elements(self):
         vals = self.ring.elements()
@@ -398,11 +407,29 @@ def scramble(pro, ring, seed=0, samples=0):
 # -- the recovery procedure ---------------------------------------------------------
 
 
-def _access_nilpotent(access, x, cap=24):
-    """Black-box nilpotence by repeated squaring with cycle detection."""
+def _squarings(access):
+    """Squarings that decide nilpotence: ceil(log2 L), with L the length of
+    the ring as a module over its coefficients, `dim` over a field, Z or Q
+    and dim.k over Z/p^k (k the prime factors of n, with multiplicity).  A
+    nilpotent x cuts a strictly falling chain R > xR > x^2.R > ... > 0 (over
+    Z, read it over Q), so x^L = 0."""
+    k = 1
+    if isinstance(access.ring, ModRing):
+        n, k, p = access.ring.n, 0, 2
+        while p * p <= n:
+            while n % p == 0:
+                n, k = n // p, k + 1
+            p += 1
+        k += n > 1
+    return (access.dim * k - 1).bit_length()
+
+
+def _access_nilpotent(access, x, squarings):
+    """Black-box nilpotence: zero within `squarings` squarings, stopping
+    early once a power repeats."""
     seen = set()
     cur = x
-    for _ in range(cap):
+    for _ in range(squarings):
         if access.is_zero(cur):
             return True
         if cur in seen:
@@ -420,27 +447,33 @@ def _difference(access, x, y):
     return access.add(x, access.neg(y))
 
 
-def _split_classes(access, idems):
-    classes = []
-    for e in idems:
-        for cls in classes:
-            if _access_nilpotent(access, _difference(access, e, cls[0])):
-                cls.append(e)
+def _primitive_split(access, idems):
+    """Orthogonal primitive idempotents summing to 1, found among `idems`,
+    every nonzero idempotent of the ring.  A node e splits into f and e - f
+    for the first f other than e with e.f = f.e = f; a node with no such f
+    is primitive.  Every idempotent is a unit conjugate of some 1_S, so a
+    proper sub-idempotent of e has a smaller support, and the conjugates of
+    each 1_s inside e's support are all enumerated: the leaves are one
+    primitive per point.  The split ends on any finite ring, as e.R is the
+    direct sum of f.R and (e - f).R, both nonzero.  A ring free of rank
+    `dim` holds at most `dim` orthogonal nonzero idempotents, so more nodes
+    than that refuse the table: it is no associative ring, and the split
+    need not end there."""
+    one = access.one()
+    leaves, stack = [], [] if access.is_zero(one) else [one]  # the zero ring has no points
+    while stack:
+        if len(leaves) + len(stack) > access.dim:
+            raise HypothesisViolation(
+                "1 splits into more than %d orthogonal idempotents: not the incidence ring "
+                "of a poset" % access.dim)
+        e = stack.pop()
+        for f in idems:
+            if f != e and access.mul(e, f) == f and access.mul(f, e) == f:
+                stack += [_difference(access, e, f), f]
                 break
         else:
-            classes.append([e])
-    return classes
-
-
-def _atoms(access, classes):
-    """Minimal nonzero classes of the absorption order, found by searching
-    representative pairs for E.F = F.E = E."""
-    nonzero = [c for c in classes if not access.is_zero(c[0])]
-
-    def below(c1, c2):
-        return any(access.mul(e, f) == e and access.mul(f, e) == e for e in c1 for f in c2)
-
-    return [c for c in nonzero if not any(o is not c and below(o, c) for o in nonzero)]
+            leaves.append(e)
+    return leaves
 
 
 def _add_atom(access, basis, atoms, e):
@@ -463,11 +496,12 @@ def _add_atom(access, basis, atoms, e):
 def recover_poset(access, mode="auto", budget=10**5, rng=None):
     """Reconstruct the poset from ring access alone.
 
-    `exhaustive` enumerates every ring element, keeps the idempotents, splits
-    them into difference-nilpotent classes and finds the atoms of the
-    absorption order.  `witness` draws sampled idempotents (which land in
-    minimal classes) and buckets them the same way.  The order is read off
-    each atom as it turns up (see `_add_atom`).
+    `exhaustive` enumerates every ring element, keeps the idempotents and
+    splits 1 into orthogonal primitive idempotents over them (see
+    `_primitive_split`).  `witness` draws sampled idempotents (which are
+    primitive) and keeps one per difference-nilpotent class.  Each
+    primitive becomes an atom, and the order is read off each atom as it
+    turns up (see `_add_atom`).
 
     The atoms found span at most `access.dim` order pairs, exactly `dim` when
     they are all the points.  Witness mode draws until that holds and raises
@@ -491,19 +525,20 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     if mode == "exhaustive":
         if size is None or size > 2**14:
             raise SearchBudgetExceeded("carrier too large to enumerate (%s elements)" % (size,))
-        idems = [x for x in access.elements() if _is_idempotent(access, x)]
-        for cls in _atoms(access, _split_classes(access, idems)):
-            rel += _add_atom(access, basis, atoms, cls[0])
+        idems = [x for x in access.elements() if not access.is_zero(x) and _is_idempotent(access, x)]
+        for e in _primitive_split(access, idems):
+            rel += _add_atom(access, basis, atoms, e)
     elif mode == "witness":
         if rng is None:
             rng = random.Random(0)
         reps = []  # one per class drawn, the zero class included
+        squarings = _squarings(access)
         while len(atoms) + len(rel) < access.dim:
             if access.ops > budget:
                 raise SearchBudgetExceeded(
                     "budget of %d ring operations spent: %s" % (budget, tally()))
             e = access.sample_idempotent(rng)
-            if any(_access_nilpotent(access, _difference(access, e, r)) for r in reps):
+            if any(_access_nilpotent(access, _difference(access, e, r), squarings) for r in reps):
                 continue
             reps.append(e)
             if not access.is_zero(e):

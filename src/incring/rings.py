@@ -58,6 +58,11 @@ class CoeffRing:
         `scale`: one reduction per cell, zero cells dropped."""
         raise NotImplementedError
 
+    def lower_all(self, acc, scale):
+        """Canonical values of the int list `acc` divided by `scale`, as a
+        tuple with the zeros kept."""
+        raise NotImplementedError
+
     # -- units and idempotents --------------------------------------------
 
     def is_unit(self, a):
@@ -136,6 +141,9 @@ class IntegerRing(CoeffRing):
     def lower(self, acc, scale):
         return {k: v for k, v in acc.items() if v}
 
+    def lower_all(self, acc, scale):
+        return tuple(acc)
+
     def is_unit(self, a):
         return a == 1 or a == -1
 
@@ -200,6 +208,9 @@ class RationalRing(CoeffRing):
     def lower(self, acc, scale):
         return {k: Fraction(v, scale) for k, v in acc.items() if v}
 
+    def lower_all(self, acc, scale):
+        return tuple(Fraction(v, scale) for v in acc)
+
     def is_unit(self, a):
         return a != 0
 
@@ -257,6 +268,9 @@ class ModRing(CoeffRing):
     def lower(self, acc, scale):
         n = self.n
         return {k: r for k, v in acc.items() if (r := v % n)}
+
+    def lower_all(self, acc, scale):
+        return tuple(map(self.n.__rmod__, acc))
 
     def is_unit(self, a):
         return gcd(a, self.n) == 1

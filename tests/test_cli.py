@@ -188,6 +188,8 @@ INTERVALS = ["proset", "intervals"]
       "--b", "{}"], "(0,) is not an element of family Z"),
     (["lazy", "mul", "--a", '{"family":{"family":"N"},"ring":"Q","off_diagonal":[[-2,-1,"1"]]}',
       "--b", "{}"], "-2 is not an element of family N"),
+    (["lazy", "mul", "--a", '{"family":{"augment":{"base":{"family":"N"},"sets":[[-1,0]]}},"ring":"Q"}',
+      "--b", "{}"], "-1 is not in the base family"),
 ])
 def test_unknown_label_is_typed(capsys, argv, message):
     code = main(argv)
@@ -347,6 +349,9 @@ NO_WINDOWS = "the family is a finite proset, which has no window chain"
     (["lazy", "mul", "--a",
       '{"family":{"family":"N"},"ring":"Q","diagonal_exceptions":[[{"x":1},"2"]]}', "--b", "{}"],
      '$.diagonal_exceptions[0][0] must be a string, a number or an array of them, got {"x": 1}'),
+    (["lazy", "mul", "--a",
+      '{"family":{"family":"N"},"ring":"Q","diagonal_exceptions":[[1.5,"2"]]}', "--b", "{}"],
+     "$.diagonal_exceptions[0][0] must be an integer or a string label, got 1.5"),
 ])
 def test_finite_windows_and_object_labels_are_typed(capsys, argv, message):
     code = main(argv)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from incring.errors import MalformedInput
+from incring.errors import MalformedInput, UnknownElement
 from incring.functor_cat import FccMap, validate_fcc
 from incring.io import (
     canonical_labels,
@@ -90,6 +90,17 @@ def test_lazy_round_trip():
     assert again.project(w) == lz.project(w)
 
 
+def test_family_labels_read_digit_strings_as_integers():
+    """JSON object keys turn integers into strings, so a string of digits
+    names the integer; any other string stays a label of its own."""
+    lz = lazy_from_json({"family": {"family": "Z"}, "ring": "Q",
+                         "diagonal_exceptions": [["-3", "2"], [4, "5"]]})
+    assert lz.finitary[1] == {-3: QQ.canon(2), 4: QQ.canon(5)}
+    with pytest.raises(UnknownElement):
+        lazy_from_json({"family": {"family": "Z"}, "ring": "Q",
+                        "diagonal_exceptions": [["+3", "2"]]})
+
+
 def test_map_round_trip():
     two = Proset(["a", "b"], [("a", "b")])
     f = FccMap(two, CHAIN3, {"a": 0, "b": 1})
@@ -133,6 +144,13 @@ def test_file_path_indirection(tmp_path):
      "$.family.two_block must be a JSON array of 2 items, got [1, 2, 3]"),
     (matrix_from_json, {"proset": {"family": "Zig"}, "ring": "Q"},
      "$.proset is an infinite family, not a finite proset"),
+    # a family label is an integer or a string, never a truncated float
+    (lazy_from_json, {"family": {"family": "N"}, "ring": "Q", "diagonal_exceptions": [[1.5, "2"]]},
+     "$.diagonal_exceptions[0][0] must be an integer or a string label, got 1.5"),
+    (lazy_from_json, {"family": {"family": "Z"}, "ring": "Q", "off_diagonal": [[0, 2.0, "1"]]},
+     "$.off_diagonal[0][1] must be an integer or a string label, got 2.0"),
+    (family_from_json, {"augment": {"base": {"family": "Z"}, "sets": [[0, -0.5]]}},
+     "$.augment.sets[0][1] must be an integer or a string label, got -0.5"),
 ])
 def test_malformed_input_names_its_path(parse, obj, message):
     with pytest.raises(MalformedInput) as err:

@@ -336,6 +336,10 @@ def test_restrict_matches_family_order():
     for a in win:
         for b in win:
             assert pro.leq(a, b) == fam.leq(a, b)
+    with pytest.raises(UnknownElement, match="-1 is not an element of N"):
+        NFamily().restrict([0, -1])
+    with pytest.raises(UnknownElement, match="-1 is not in the base family"):
+        AugmentedFamily(NFamily(), [frozenset([-1, 0])])
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -18,6 +18,9 @@ from incring.prosets import Proset
 from incring.recovery import (
     BundleAccess,
     MatrixAccess,
+    _access_nilpotent,
+    _add_atom,
+    _squarings,
     b_of,
     class_equiv,
     class_leq,
@@ -74,6 +77,55 @@ def assert_kernel_matches_oracle(access, x, y):
     # canonical values of the ring's own carrier, zeros included
     assert [type(v) for v in got] == [type(v) for v in want]
     return got
+
+
+def recover_by_classes(access):
+    """Exhaustive recovery by classing every idempotent, kept as the oracle
+    for the split of 1: the idempotents are bucketed into difference-
+    nilpotent classes, and the first member of each minimal nonzero class
+    of the absorption order is an atom."""
+    squarings = _squarings(access)
+
+    def equivalent(e, f):
+        return _access_nilpotent(access, access.add(e, access.neg(f)), squarings)
+
+    classes = []
+    for e in access.elements():
+        if access.mul(e, e) != e:
+            continue
+        for cls in classes:
+            if equivalent(e, cls[0]):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    nonzero = [c for c in classes if not access.is_zero(c[0])]
+
+    def below(c1, c2):
+        return any(access.mul(e, f) == e and access.mul(f, e) == e for e in c1 for f in c2)
+
+    basis, atoms, rel = access.basis(), [], []
+    for c in nonzero:
+        if not any(o is not c and below(o, c) for o in nonzero):
+            rel += _add_atom(access, basis, atoms, c[0])
+    if len(atoms) + len(rel) != access.dim:
+        raise HypothesisViolation("not the incidence ring of a poset")
+    return Proset(range(len(atoms)), rel)
+
+
+def unit_bundle(pro, ring):
+    """The incidence ring of any finite proset as a bundle on its pair
+    units, e_ab.e_cd = e_ad when b = c: M_2 for two equivalent points."""
+    pairs = pro.pairs()
+    idx = {p: i for i, p in enumerate(pairs)}
+
+    def coords(*hot):
+        return [ring.format(ring.one if k in hot else ring.zero) for k in range(len(pairs))]
+
+    table = [[coords(idx[(a, d)]) if b == c else coords() for (c, d) in pairs]
+             for (a, b) in pairs]
+    one = coords(*(idx[(s, s)] for s in pro.elements))
+    return {"dim": len(pairs), "table": table, "one": one}
 
 
 def all_idempotents(pro, ring):
@@ -366,7 +418,7 @@ def test_kernel_keeps_operation_counts():
     fast, slow = BundleAccess(bundle, ring), DenseBundleAccess(bundle, ring)
     rec_fast = recover_poset(fast, mode="exhaustive")
     rec_slow = recover_poset(slow, mode="exhaustive")
-    assert fast.ops == slow.ops == 428
+    assert fast.ops == slow.ops == 117
     assert rec_fast.elements == rec_slow.elements
     assert rec_fast.pairs() == rec_slow.pairs()
     assert rec_fast.poset_isomorphic(VEE) is not None
@@ -418,3 +470,108 @@ def test_non_incidence_ring_is_refused():
         recover_poset(BundleAccess(GF4, ring), mode="exhaustive")
     with pytest.raises(SearchBudgetExceeded):
         recover_poset(BundleAccess(GF4, ring), mode="witness", budget=10**3)
+
+
+@pytest.mark.parametrize("ring, most", [
+    (PrimeField(2), 4), (PrimeField(3), 3), (ModRing(4), 3), (PrimeField(5), 2), (ModRing(9), 2),
+], ids=str)
+def test_split_of_one_matches_class_oracle(ring, most):
+    """Every poset of at most `most` points, on three scrambles each: the
+    split of 1 and the class oracle recover the same poset."""
+    for n in range(1, most + 1):
+        for pro in enumerate_posets(n):
+            for seed in range(3):
+                bundle, _ = scramble(pro, ring, seed=seed)
+                split = recover_poset(BundleAccess(bundle, ring), mode="exhaustive")
+                classes = recover_by_classes(BundleAccess(bundle, ring))
+                assert split.poset_isomorphic(pro) is not None
+                assert classes.poset_isomorphic(pro) is not None
+
+
+def test_split_of_one_matches_class_oracle_off_posets():
+    """GF(4) is refused by both (see test_non_incidence_ring_is_refused for
+    the split); the full matrix ring M_2(F2) gives one class of two points,
+    and M_2 below a point gives that class under a third."""
+    ring = PrimeField(2)
+    with pytest.raises(HypothesisViolation):
+        recover_by_classes(BundleAccess(GF4, ring))
+    for pro in (Proset([0, 1], [(0, 1), (1, 0)]), Proset([0, 1, 2], [(0, 1), (1, 0), (1, 2)])):
+        bundle = unit_bundle(pro, ring)
+        split = recover_poset(BundleAccess(bundle, ring), mode="exhaustive")
+        classes = recover_by_classes(BundleAccess(bundle, ring))
+        assert split.poset_isomorphic(pro) is not None
+        assert classes.poset_isomorphic(pro) is not None
+
+
+def test_split_of_one_refuses_a_non_associative_table():
+    """Idempotent basis elements a, b, c with ab = ba = b, bc = cb = c and
+    ca = ac = a, and 1 = a: each sits over the next round the cycle, so the
+    split of a would go a, b, c, a, ... for ever.  The table is no ring,
+    and both recoveries refuse it."""
+    a, b, c = ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]
+    table = {"dim": 3, "table": [[a, b, a], [b, b, c], [a, c, c]], "one": a}
+    ring = PrimeField(2)
+    with pytest.raises(HypothesisViolation):
+        recover_poset(BundleAccess(table, ring), mode="exhaustive")
+    with pytest.raises(HypothesisViolation):
+        recover_by_classes(BundleAccess(table, ring))
+
+
+def test_split_of_one_on_zero_identities():
+    """1 = 0 holds in the zero ring, the ring of the empty poset, and in no
+    ring of dimension 1: there, the zero product is refused, not read as
+    one point."""
+    ring = PrimeField(2)
+    empty = recover_poset(BundleAccess({"dim": 0, "table": [], "one": []}, ring), mode="exhaustive")
+    assert empty.elements == ()
+    with pytest.raises(HypothesisViolation):
+        recover_poset(BundleAccess({"dim": 1, "table": [[["0"]]], "one": ["0"]}, ring),
+                      mode="exhaustive")
+
+
+def test_nilpotence_squarings_follow_the_module_length():
+    """ceil(log2 L) squarings, L = dim over a field, Z or Q and dim.k over
+    Z/n with k prime factors of n."""
+    cases = [(PrimeField(2), 5, 3), (ModRing(4), 5, 4), (ModRing(8), 1, 2), (ModRing(9), 3, 3),
+             (ModRing(12), 1, 2), (PrimeField(10**9 + 7), 4, 2), (ZZ, 1, 0), (QQ, 6, 3)]
+    for ring, dim, squarings in cases:
+        bundle = {"dim": dim, "table": [[["0"] * dim] * dim] * dim, "one": ["0"] * dim}
+        assert _squarings(BundleAccess(bundle, ring)) == squarings
+    # Z/8 on one point is Z/8 itself, L = 3, and 2 needs both squarings
+    access = BundleAccess({"dim": 1, "table": [[["1"]]], "one": ["1"]}, ModRing(8))
+    assert _access_nilpotent(access, (2,), _squarings(access))
+    assert not _access_nilpotent(access, (2,), 1)
+    # a unit over Q never repeats a power: the cap, not a cycle, ends the test
+    access = MatrixAccess(CHAIN3, QQ)
+    x = identity(CHAIN3, QQ).add(identity(CHAIN3, QQ))
+    before = access.ops
+    assert not _access_nilpotent(access, x, _squarings(access))
+    assert access.ops - before == 3
+
+
+@pytest.mark.parametrize("pro, ring, length", [
+    (CHAIN3, PrimeField(2), 6),
+    (Proset([0, 1], [(0, 1)]), ModRing(4), 6),
+    (Proset([0, 1], [(0, 1)]), ModRing(9), 6),
+], ids=str)
+def test_nilpotence_cap_agrees_with_the_lth_power(pro, ring, length):
+    """On every element: nilpotent within the capped squarings exactly when
+    the L-th power is zero."""
+    access = MatrixAccess(pro, ring)
+    squarings = _squarings(access)
+    assert squarings == (length - 1).bit_length()
+    for x in access.elements():
+        power = x
+        for _ in range(length - 1):
+            power = power.mul(x)
+        assert _access_nilpotent(access, x, squarings) == power.is_zero()
+
+
+def test_bundle_kernel_on_zero_operands():
+    """A zero factor gives the zero tuple of the ring's own carrier."""
+    for ring in (ZZ, QQ, PrimeField(2), ModRing(4)):
+        bundle, access = scramble(CHAIN3, ring, seed=3)
+        zero, one = access.zero(), access.one()
+        for x, y in ((zero, one), (one, zero), (zero, zero)):
+            assert access.is_zero(assert_kernel_matches_oracle(access, x, y))
+        assert assert_kernel_matches_oracle(access, one, one) == one

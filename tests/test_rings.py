@@ -100,3 +100,18 @@ def test_infinite_rings_refuse_enumeration():
     with pytest.raises(ValueError):
         ZZ.elements()
     assert not ZZ.finite and not QQ.finite and ModRing(4).finite
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_lower_all_keeps_zeros_and_agrees_with_lower(ring):
+    """lower_all reads a list of ints as lower reads a dict, zeros kept as
+    the ring's own zero."""
+    rng = random.Random(23)
+    for _ in range(200):
+        values = [ring.random(rng) for _ in range(rng.randrange(6))]
+        ints, scale = ring.lift(dict(enumerate(values)))
+        acc = [ints[k] * 3 for k in range(len(values))]
+        got = ring.lower_all(acc, scale)
+        assert got == tuple(ring.add(ring.add(v, v), v) for v in values)
+        assert [type(v) for v in got] == [type(ring.zero)] * len(values)
+        assert {k: v for k, v in enumerate(got) if v} == ring.lower(dict(enumerate(acc)), scale)
