@@ -3,54 +3,22 @@
 Subcommands: proset, algebra, group, lazy, recover, functor, experiment,
 scramble.  All reports are UTF-8 JSON on stdout, embedding the invocation
 and library version; randomized paths take --seed (default 0), so the same
-invocation is byte-identical.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+invocation is byte-identical.  Exit codes: 0 success, 1 domain error
+(or stdout closed early), 2 usage error.
+
+Each subcommand imports the library modules it uses when it runs, so a
+one-shot process loads and compiles only those: `proset` reads no matrix
+code, and `recover` on a bundle no group code.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 
 from . import __version__
 from .errors import IncRingError, MalformedInput, UnknownElement
-from .functor_cat import (
-    coequalizer,
-    compose,
-    induced_hom,
-    pushout,
-    validate_fcc,
-)
-from .glgroup import (
-    certify,
-    commutator,
-    dickson_normal_closure,
-    invert,
-    is_central,
-    iterated_commutator_sample,
-    GroupElement,
-    random_invertible,
-)
-from .io import (
-    bundle_from_json,
-    canonical_labels,
-    family_from_json,
-    lazy_from_json,
-    lazy_to_json,
-    load_json,
-    map_from_json,
-    map_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    proset_from_json,
-    proset_to_json,
-    require,
-    ring_from_json,
-)
-from .lazy import lazy_invert, lazy_mul, qz_window_check
-from .prosets import Proset, elem_key
-from .recovery import MatrixAccess, recover_poset, scramble
-from .rings import QQ, ZZ
 
 
 def _load_ref(text):
@@ -60,6 +28,8 @@ def _load_ref(text):
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
         return json.loads(stripped)
+    from .io import load_json
+
     return load_json(text)
 
 
@@ -72,11 +42,11 @@ def _need(value, flag):
 
 
 def _ring_arg(text):
+    from .io import ring_from_json
+
     _need(text, "--ring")
-    if text == "Z":
-        return ZZ
-    if text == "Q":
-        return QQ
+    if text in ("Z", "Q"):
+        return ring_from_json(text)
     key, colon, value = text.partition(":")
     if colon and key in ("mod", "gf"):
         return ring_from_json({key: int(value) if value.isdecimal() else value})
@@ -84,6 +54,8 @@ def _ring_arg(text):
 
 
 def _family_arg(text):
+    from .io import family_from_json
+
     _need(text, "--family")
     if text in ("N", "Z", "Zig"):
         return family_from_json({"family": text})
@@ -97,6 +69,8 @@ def _family_arg(text):
 
 def _window(fam, k):
     """The k-th window of an infinite family, in elem_key order."""
+    from .prosets import Proset, elem_key
+
     if isinstance(fam, Proset):
         raise MalformedInput("the family is a finite proset, which has no window chain")
     return sorted(fam.window(k), key=elem_key)
@@ -110,6 +84,8 @@ def _label(text):
 
 
 def _proset_payload(pro):
+    from .io import canonical_labels, proset_to_json
+
     if all(isinstance(s, (int, str)) for s in pro.elements):
         return proset_to_json(pro), None
     relabeled, legend = canonical_labels(pro)
@@ -125,6 +101,8 @@ def _quotient_payload(quo):
 
 
 def _centrality(m):
+    from .glgroup import is_central
+
     rep = is_central(m)
     return {
         "central": rep.central,
@@ -135,11 +113,15 @@ def _centrality(m):
 
 
 def _qz_report(fam, ring, window, inner):
+    from .lazy import qz_window_check
+
     return qz_window_check(fam, ring, _window(fam, window), _window(fam, inner))
 
 
 def _window_payload(payload, m, family, k):
     """Add the projection of `m` to the family's k-th window, if asked."""
+    from .io import matrix_to_json
+
     if k is not None:
         win = _window(family, k)
         payload["window"] = win
@@ -161,6 +143,9 @@ def _emit(args, payload):
 
 
 def cmd_proset(args):
+    from .io import proset_from_json
+    from .prosets import elem_key
+
     if args.action == "intervals":
         if args.family:
             fam = _family_arg(args.family)
@@ -198,6 +183,8 @@ def cmd_proset(args):
 
 
 def cmd_algebra(args):
+    from .io import matrix_from_json, matrix_to_json
+
     if args.action in ("mul", "add"):
         a = matrix_from_json(_load_ref(args.a))
         b = matrix_from_json(_load_ref(args.b))
@@ -214,6 +201,9 @@ def cmd_algebra(args):
 
 
 def cmd_group(args):
+    from .glgroup import GroupElement, certify, commutator, invert, random_invertible
+    from .io import matrix_from_json, matrix_to_json, proset_from_json
+
     if args.action == "invert":
         m = matrix_from_json(_load_ref(args.input))
         return _emit(args, {"inverse": matrix_to_json(invert(m))})
@@ -243,6 +233,9 @@ def cmd_group(args):
 
 
 def cmd_lazy(args):
+    from .io import lazy_from_json, lazy_to_json, matrix_to_json
+    from .lazy import lazy_invert, lazy_mul
+
     if args.action == "project":
         lz = lazy_from_json(_load_ref(args.input))
         win = _window(lz.family, _need(args.window, "--window"))
@@ -270,6 +263,9 @@ def cmd_lazy(args):
 
 
 def cmd_recover(args):
+    from .io import bundle_from_json, proset_from_json, require, ring_from_json
+    from .recovery import MatrixAccess, recover_poset
+
     obj, path = _load_ref(args.input), "$"
     if "bundle" in obj:
         # accept a whole scramble report, so the two commands pipe together
@@ -293,6 +289,9 @@ def cmd_recover(args):
 
 
 def cmd_functor(args):
+    from .functor_cat import coequalizer, compose, induced_hom, pushout, validate_fcc
+    from .io import map_from_json, map_to_json, matrix_from_json, matrix_to_json
+
     if args.action == "validate":
         f = map_from_json(_load_ref(args.map))
         records = validate_fcc(f)
@@ -342,6 +341,9 @@ def cmd_functor(args):
 
 
 def cmd_experiment(args):
+    from .glgroup import dickson_normal_closure, iterated_commutator_sample
+    from .io import family_from_json, matrix_from_json, proset_from_json, require, ring_from_json
+
     cfg = _load_ref(args.config)
     kind = require(cfg, "experiment")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
@@ -372,6 +374,9 @@ def cmd_experiment(args):
 
 
 def cmd_scramble(args):
+    from .io import proset_from_json
+    from .recovery import scramble
+
     pro = proset_from_json(_load_ref(args.proset))
     ring = _ring_arg(args.ring)
     bundle, _ = scramble(pro, ring, seed=args.seed, samples=args.samples)
@@ -460,13 +465,24 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     args._argv = argv
     try:
-        return args.fn(args)
-    except (IncRingError, OSError, ValueError, KeyError) as exc:
-        print(json.dumps({
-            "invocation": "incring " + " ".join(argv),
-            "version": __version__,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }, indent=2, sort_keys=True))
+        try:
+            code = args.fn(args)
+        except BrokenPipeError:
+            raise
+        except (IncRingError, OSError, ValueError, KeyError) as exc:
+            print(json.dumps({
+                "invocation": "incring " + " ".join(argv),
+                "version": __version__,
+                "error": {"type": type(exc).__name__, "message": str(exc)},
+            }, indent=2, sort_keys=True))
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`incring ... | head`).  Point stdout
+        # at devnull, as the signal module's docs advise, so the flush at
+        # exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

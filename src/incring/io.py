@@ -11,8 +11,6 @@ import json
 import re
 
 from .errors import MalformedInput, UnknownElement
-from .lazy import lazy_finitary, named_oracle
-from .matrices import IncMatrix
 from .prosets import (
     AugmentedFamily,
     NFamily,
@@ -230,6 +228,8 @@ def family_to_json(fam):
 
 
 def matrix_from_json(obj, path="$"):
+    from .matrices import IncMatrix
+
     obj = _maybe_file(obj)
     pro = proset_from_json(require(obj, "proset", path), path + ".proset")
     ring = ring_from_json(require(obj, "ring", path))
@@ -255,6 +255,8 @@ def matrix_to_json(m):
 
 
 def lazy_from_json(obj, path="$"):
+    from .lazy import lazy_finitary, named_oracle
+
     obj = _maybe_file(obj)
     fam = family_from_json(require(obj, "family", path), path + ".family")
     ring = ring_from_json(require(obj, "ring", path))

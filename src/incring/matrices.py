@@ -38,6 +38,7 @@ __all__ = [
     "CoeffIdeal",
     "SumIdeal",
     "ideal_membership",
+    "join_components",
     "region_pairs",
 ]
 

@@ -284,7 +284,7 @@ class Proset:
         subset = frozenset(subset)
         missing = subset.difference(self._up)
         if missing:
-            raise ValueError("elements %r not in proset" % (_sorted(missing),))
+            _raise_unknown(self, _sorted(missing))
         elements = tuple(s for s in self.elements if s in subset)
         up, down = self._up, self._down
         return Proset._closed(

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .matrices import IncMatrix, indicator, unit
 from .prosets import Proset, elem_key
-from .glgroup import random_invertible, invert
 from .io import parse_value
 from .rings import ModRing
 
@@ -203,6 +202,8 @@ class MatrixAccess:
         return [unit(self.pro, self.ring, a, b) for a, b in self.pro.pairs()]
 
     def sample_idempotent(self, rng):
+        from .glgroup import invert, random_invertible
+
         s = rng.choice(self.pro.elements)
         w = random_invertible(self.pro, self.ring, rng)
         return w.mul(indicator(self.pro, self.ring, [s])).mul(invert(w))
@@ -326,6 +327,8 @@ def scramble(pro, ring, seed=0, samples=0):
     of the order-pair units; the table and the identity's coordinates are all
     the bundle reveals, plus optionally a batch of sampled idempotents for
     witness-mode recovery.  Returns (bundle, access)."""
+    from .glgroup import invert, random_invertible
+
     if not pro.is_poset():
         raise PosetRequired("poset recovery needs a poset")
     rng = random.Random(seed)

@@ -1,14 +1,20 @@
 """The command line: reports, determinism, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import incring
 from incring.cli import main
 from incring.io import proset_from_json
 from incring.prosets import Proset
 
+# a child interpreter that imports this same incring
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(incring.__file__).resolve().parent.parent))
 CHAIN3 = Proset([0, 1, 2], [(0, 1), (1, 2)])
 
 ID2 = json.dumps({
@@ -447,6 +453,58 @@ def test_experiment_commutators(capsys, tmp_path):
     assert code == 0
     assert report["seed"] == 7
     assert report["report"]["violations"] == 0
+
+
+CHAIN2 = {"elements": [0, 1], "relations": [[0, 1]]}
+AB = {"elements": ["a", "b"], "relations": [["a", "b"]]}
+XY = {"elements": ["x", "y"], "relations": [["x", "y"]]}
+TO_AB = json.dumps({"domain": CHAIN2, "codomain": AB, "map": {"0": "a", "1": "b"}})
+TO_XY = json.dumps({"domain": AB, "codomain": XY, "map": {"a": "x", "b": "y"}})
+OVER_AB = json.dumps({"proset": AB, "ring": {"gf": 5}, "entries": [["a", "a", "2"], ["a", "b", "3"]]})
+
+
+# Every action the other tests leave out, each run once through main: the
+# library names a command uses are imported where it runs, so a missed one
+# shows only on its own branch.
+@pytest.mark.parametrize("argv, key, want", [
+    (["algebra", "add", "--a", ID2, "--b", ID2], "result",
+     {"entries": [[0, 0, "2"], [1, 1, "2"]]}),
+    (["group", "certify", "--input", ID2], "invertible", True),
+    (["group", "central", "--input", ID2], "central", True),
+    (["group", "commutator", "--a", ID2, "--b", ID2], "commutator",
+     {"entries": [[0, 0, "1"], [1, 1, "1"]]}),
+    (["functor", "apply", "--map", TO_AB, "--matrix", OVER_AB], "result",
+     {"proset": CHAIN2, "entries": [[0, 0, "2"], [0, 1, "3"]]}),
+    (["functor", "compose", "--f", TO_AB, "--g", TO_XY], "composite",
+     {"domain": CHAIN2, "codomain": XY, "map": {"0": "x", "1": "y"}}),
+    (["experiment", "--config", json.dumps({"experiment": "dickson", "n": 2, "q": 5})],
+     "report", {"closure_order": 480, "sl_order": 120, "contains_sl_generators": True}),
+    (["experiment", "--config", json.dumps({"experiment": "center", "matrix": json.loads(ID2)})],
+     "report", {"central": True, "agree": True}),
+    (["experiment", "--config", json.dumps({"experiment": "qz", "family": {"family": "Zig"},
+                                            "ring": {"gf": 2}, "window": 2, "inner": 1})],
+     "report", {"surjective": True, "inner": [-1, 0, 1]}),
+], ids=["algebra-add", "group-certify", "group-central", "group-commutator", "functor-apply",
+        "functor-compose", "experiment-dickson", "experiment-center", "experiment-qz"])
+def test_every_action_exits_0(capsys, argv, key, want):
+    code, out = run(capsys, *argv)
+    got = json.loads(out)[key]
+    assert code == 0
+    assert {k: got[k] for k in want} == want if isinstance(want, dict) else got == want
+
+
+def test_closed_stdout_is_exit_1_without_traceback():
+    """A reader that stops after 10 bytes (`incring ... | head -c 10`): the
+    report is far larger than a pipe holds, so the writes that follow fail."""
+    argv = ["proset", "window", "--family", "Z", "--k", "20000"]
+    proc = subprocess.Popen([sys.executable, "-m", "incring.cli", *argv], env=CHILD_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "invoc'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_version_flag(capsys):

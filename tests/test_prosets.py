@@ -342,6 +342,13 @@ def test_restrict_matches_family_order():
         AugmentedFamily(NFamily(), [frozenset([-1, 0])])
 
 
+def test_restrict_to_unknown_elements_is_typed():
+    with pytest.raises(UnknownElement, match="1 is not an element of the proset"):
+        Proset([0], []).restrict([1])
+    with pytest.raises(UnknownElement, match="'a' is not an element"):
+        Proset([0, 1], [(0, 1)]).restrict([0, "b", "a"])
+
+
 # -- enumeration ----------------------------------------------------------------
 
 
