@@ -62,9 +62,24 @@ def _family_arg(text):
     if text == "nstar_div":
         return family_from_json({"family": {"nstar_div": True}})
     if text.startswith("two_block:"):
-        m, n = text.split(":", 1)[1].split(",")
+        m, comma, n = text[len("two_block:"):].partition(",")
+        if not (comma and m.isdecimal() and n.isdecimal() and int(m) >= 1):
+            raise MalformedInput("--family two_block:m,n needs integers m >= 1 and n >= 0, got %r"
+                                 % (text,))
         return family_from_json({"family": {"two_block": [int(m), int(n)]}})
     return family_from_json(_load_ref(text))
+
+
+def _natural(cfg, key, default=None):
+    """The natural number at `key` of an experiment config (`default` when
+    it is left out and one is given)."""
+    from .io import require
+
+    value = cfg.get(key, default) if default is not None else require(cfg, key)
+    if type(value) is not int or value < 0:
+        raise MalformedInput("$.%s must be a natural number, got %s"
+                             % (key, json.dumps(value, default=str)))
+    return value
 
 
 def _window(fam, k):
@@ -343,20 +358,26 @@ def cmd_functor(args):
 def cmd_experiment(args):
     from .glgroup import dickson_normal_closure, iterated_commutator_sample
     from .io import family_from_json, matrix_from_json, proset_from_json, require, ring_from_json
+    from .rings import _is_prime
 
     cfg = _load_ref(args.config)
     kind = require(cfg, "experiment")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if type(seed) is not int:
+        raise MalformedInput("$.seed must be an integer, got %s" % json.dumps(seed, default=str))
     rng = random.Random(seed)
     if kind == "dickson":
-        rep = dickson_normal_closure(int(require(cfg, "n")), int(require(cfg, "q")), rng)
+        n, q = _natural(cfg, "n"), _natural(cfg, "q")
+        if not _is_prime(q):
+            raise MalformedInput("$.q must be a prime, got %d" % q)
+        rep = dickson_normal_closure(n, q, rng)
         rep = {k: v for k, v in rep.items() if k != "seed"}
         return _emit(args, {"experiment": "dickson", "seed": seed, "report": rep})
     if kind == "commutators":
         pro = proset_from_json(require(cfg, "proset"), "$.proset")
         ring = ring_from_json(require(cfg, "ring"))
         rep = iterated_commutator_sample(
-            pro, ring, int(require(cfg, "depth")), int(cfg.get("samples", 100)), rng
+            pro, ring, _natural(cfg, "depth"), _natural(cfg, "samples", 100), rng
         )
         return _emit(args, {"experiment": "commutators", "seed": seed, "report": rep})
     if kind == "center":
@@ -365,7 +386,7 @@ def cmd_experiment(args):
     if kind == "qz":
         fam = family_from_json(require(cfg, "family"), "$.family")
         ring = ring_from_json(require(cfg, "ring"))
-        rep = _qz_report(fam, ring, int(require(cfg, "window")), int(require(cfg, "inner")))
+        rep = _qz_report(fam, ring, _natural(cfg, "window"), _natural(cfg, "inner"))
         return _emit(args, {"experiment": "qz", "seed": seed, "report": rep})
     raise IncRingError("unknown experiment %r" % (kind,))
 

@@ -15,6 +15,7 @@ the same loop.  A commutator carries its inverse from the cached inverses
 of its factors.
 """
 
+import itertools
 from collections import namedtuple
 from functools import reduce
 
@@ -360,19 +361,8 @@ def random_invertible(pro, ring, rng):
 def enumerate_matrices(pro, ring):
     """Every matrix of the incidence ring (finite ring only)."""
     pairs = pro.pairs()
-    values = list(ring.elements())
-
-    def rec(i, acc):
-        if i == len(pairs):
-            yield IncMatrix(pro, ring, dict(acc))
-            return
-        for v in values:
-            if v != ring.zero:
-                acc[pairs[i]] = v
-            yield from rec(i + 1, acc)
-            acc.pop(pairs[i], None)
-
-    yield from rec(0, {})
+    for combo in itertools.product(ring.elements(), repeat=len(pairs)):
+        yield IncMatrix(pro, ring, {p: v for p, v in zip(pairs, combo) if v != ring.zero})
 
 
 def enumerate_invertibles(pro, ring, cap=None):

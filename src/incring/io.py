@@ -202,6 +202,9 @@ def family_from_json(obj, path="$"):
             frozenset(_family_element(x, "%s.sets[%d][%d]" % (at, i, j)) for j, x in enumerate(s))
             for i, s in enumerate(_rows(desc, "sets", at))
         ]
+        for i, s in enumerate(sets):
+            if not s:
+                raise MalformedInput("%s.sets[%d] must be a nonempty JSON array, got []" % (at, i))
         return AugmentedFamily(base, sets)
     if isinstance(obj, dict) and "family" in obj:
         desc = obj["family"]
@@ -214,8 +217,12 @@ def family_from_json(obj, path="$"):
         if isinstance(desc, dict) and desc.get("nstar_div"):
             return NStarDivFamily()
         if isinstance(desc, dict) and "two_block" in desc:
-            m, n = _shaped(desc["two_block"], path + ".family.two_block", 2)
-            return two_block(int(m), int(n))
+            at = path + ".family.two_block"
+            m, n = _shaped(desc["two_block"], at, 2)
+            if not (type(m) is int and type(n) is int and m >= 1 and n >= 0):
+                raise MalformedInput("%s must hold integers m >= 1 and n >= 0, got %s"
+                                     % (at, json.dumps(desc["two_block"], default=str)))
+            return two_block(m, n)
     if isinstance(obj, dict) and "elements" in obj:
         return proset_from_json(obj, path)
     raise MalformedInput("unrecognized family %r" % (obj,))
@@ -261,7 +268,11 @@ def lazy_from_json(obj, path="$"):
     fam = family_from_json(require(obj, "family", path), path + ".family")
     ring = ring_from_json(require(obj, "ring", path))
     if "oracle" in obj:
-        return named_oracle(obj["oracle"], fam, ring)
+        try:
+            return named_oracle(obj["oracle"], fam, ring)
+        except ValueError:
+            raise MalformedInput("%s.oracle names no built-in oracle, got %s"
+                                 % (path, json.dumps(obj["oracle"], default=str))) from None
     off = {}
     at = path + ".off_diagonal"
     for i, (s1, s2, v) in enumerate(_rows(obj, "off_diagonal", path, 3)):
@@ -306,6 +317,9 @@ def map_from_json(obj, path="$"):
     raw = require(obj, "map", path)
     for k, v in raw.items() if isinstance(raw, dict) else _rows(obj, "map", path, 2):
         mapping[_resolve(k, dom.elements)] = _resolve(v, cod.elements)
+    for s in dom.elements:
+        if s not in mapping:
+            raise MalformedInput("%s.map gives %s no image" % (path, json.dumps(s, default=str)))
     return FccMap(dom, cod, mapping)
 
 

@@ -12,9 +12,15 @@ or an inverse is the M_n(P) product or inverse of the blocks on the sites
 plus a scalar diagonal elsewhere.
 """
 
-from .errors import IncompatibleOperands, InfiniteNeighborhood, NotInvertible, UnknownElement
-from .glgroup import certify, enumerate_invertibles, invert, mulclose
-from .matrices import IncMatrix, _read, identity, unit
+from .errors import (
+    HypothesisViolation,
+    IncompatibleOperands,
+    InfiniteNeighborhood,
+    NotInvertible,
+    UnknownElement,
+)
+from .glgroup import centrality_generators, certify, enumerate_invertibles, invert, mulclose
+from .matrices import IncMatrix, _read, identity
 from .prosets import AugmentedFamily
 
 __all__ = [
@@ -237,16 +243,21 @@ def qz_window_check(family, ring, window, inner, cap=200000):
     sets with N_1-closure inside `window` projects onto the whole unit group
     of the `inner` window.
 
-    Every generator of GL_inner lifts verbatim (identity outside inner), the
-    lift is supported on inner with its N_1-closure inside the window, and the
-    multiplicative closure of the projected lifts is compared against the full
-    unit group of the inner window.
+    The generators are `centrality_generators` of the inner window.  Each
+    lifts verbatim (identity outside inner), the lift is supported on inner
+    with its N_1-closure inside the window, and the multiplicative closure of
+    the projected lifts is compared against the full unit group of the inner
+    window, which is enumerated.  HypothesisViolation refuses a ring that is
+    not finite, and an inner window that leaves the outer one or whose
+    N_1-closure does.
     """
+    if not ring.finite:
+        raise HypothesisViolation("qz needs a finite coefficient ring, got %s" % (ring,))
     if not family.has_finite_neighborhoods():
         raise InfiniteNeighborhood("the family has infinite 1-neighborhoods")
     window, inner = list(window), list(inner)
     if not set(inner) <= set(window):
-        raise ValueError("inner window must sit inside the outer one")
+        raise HypothesisViolation("inner window must sit inside the outer one")
     wpro = family._window_proset(window)
     # inner sits in a convex window, so it is convex in the family exactly
     # when it is in wpro; the lifts' projections then land on this ipro
@@ -255,25 +266,11 @@ def qz_window_check(family, ring, window, inner, cap=200000):
     for s in inner:
         closure_sites |= set(family.neighborhood(s, 1))
     if not closure_sites <= set(window):
-        raise ValueError("N_1-closure of the inner window leaks outside")
+        raise HypothesisViolation("N_1-closure of the inner window leaks outside")
 
-    lifts = []
-    gens = []
+    gens = centrality_generators(ipro, ring)
     one_w = identity(wpro, ring)
-    one_i = identity(ipro, ring)
-    for (s1, s2) in ipro.strict_pairs():
-        gens.append(one_i.add(unit(ipro, ring, s1, s2)))
-        lifts.append(one_w.add(unit(wpro, ring, s1, s2)))
-    for s in inner:
-        for u in ring.units():
-            if u == ring.one:
-                continue
-            gm = dict(one_i.entries)
-            gm[(s, s)] = u
-            gens.append(IncMatrix(ipro, ring, gm))
-            lm = dict(one_w.entries)
-            lm[(s, s)] = u
-            lifts.append(IncMatrix(wpro, ring, lm))
+    lifts = [IncMatrix(wpro, ring, {**one_w.entries, **g.entries}) for g in gens]
     for m in lifts:
         certify(m)  # each lift really is a unit of the window ring
         for t in window:

@@ -394,7 +394,7 @@ class Proset:
     # -- predicates ------------------------------------------------------------
 
     def is_poset(self):
-        return all(len(self.equiv_class(s)) == 1 for s in self.elements)
+        return len(self.classes()) == len(self.elements)
 
     def is_irreducible(self):
         return len(self.components()) == 1

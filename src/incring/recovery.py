@@ -69,23 +69,14 @@ def _coeff_nilpotent(ring, v):
 
 def is_topologically_nilpotent(m):
     """True when powers of `m` reach zero.  Decided two ways that must agree:
-    the diagonal entries are nilpotent coefficients, and an explicit power
-    hits zero."""
+    the diagonal entries are nilpotent coefficients, and `m` squares to zero
+    within `_squarings` squarings on a `MatrixAccess` (the black-box test
+    recovery runs on bundles)."""
     if not m.pro.is_poset():
         raise PosetRequired("nilpotence criterion needs a poset")
     analytic = all(_coeff_nilpotent(m.ring, v) for v in m.diagonal().values())
-    n = len(m.pro.elements)
-    p = m.power(max(n, 1))
-    if m.ring.finite:
-        seen = set()
-        while not p.is_zero() and p not in seen:
-            seen.add(p)
-            p = p.mul(p)
-        by_power = p.is_zero()
-    else:
-        # zero diagonal over Z or Q forces strict triangularity, so the
-        # |elements|-th power is already conclusive
-        by_power = p.is_zero()
+    access = MatrixAccess(m.pro, m.ring)
+    by_power = _access_nilpotent(access, m, _squarings(access))
     if analytic != by_power:
         raise AssertionError("nilpotence routes disagree on %r" % (m,))
     return analytic
@@ -187,11 +178,9 @@ class MatrixAccess:
         return x.is_zero()
 
     def elements(self):
-        pairs = self.pro.pairs()
-        vals = self.ring.elements()
-        for combo in itertools.product(vals, repeat=len(pairs)):
-            entries = {p: v for p, v in zip(pairs, combo) if v != self.ring.zero}
-            yield IncMatrix(self.pro, self.ring, entries)
+        from .glgroup import enumerate_matrices
+
+        return enumerate_matrices(self.pro, self.ring)
 
     def carrier_size(self):
         if not self.ring.finite:
@@ -324,87 +313,46 @@ def _random_unit_triangular(dim, ring, rng):
 def scramble(pro, ring, seed=0, samples=0):
     """Disguise a matrix ring as a structure-constant bundle over an opaque
     basis.  The basis is a randomly permuted, unit-triangular recombination
-    of the order-pair units; the table and the identity's coordinates are all
-    the bundle reveals, plus optionally a batch of sampled idempotents for
-    witness-mode recovery.  Returns (bundle, access)."""
-    from .glgroup import invert, random_invertible
-
-    if not pro.is_poset():
-        raise PosetRequired("poset recovery needs a poset")
+    of the order-pair units, b_i = sum over k >= i of t[i][k] u_k; a table
+    cell is the `IncMatrix.mul` product of two basis matrices, and the
+    coordinates w of a matrix with entry v_k at u_k solve w.t = v by forward
+    substitution.  The table and the identity's coordinates are all the
+    bundle reveals, plus optionally a batch of idempotents drawn by
+    `MatrixAccess.sample_idempotent` for witness-mode recovery.  Returns
+    (bundle, access)."""
+    access = MatrixAccess(pro, ring)  # PosetRequired off posets
     rng = random.Random(seed)
     pairs = pro.pairs()
     dim = len(pairs)
     perm = list(range(dim))
     rng.shuffle(perm)
-    where = {perm[i]: i for i in range(dim)}
     t = _random_unit_triangular(dim, ring, rng)
-    # t lives in the incidence ring of the chain 0 < 1 < ... < dim - 1
-    chain = Proset(range(dim), [(i, i + 1) for i in range(dim - 1)])
-    inv = invert(IncMatrix(chain, ring, {(i, j): t[i][j] for i in range(dim) for j in range(i, dim)}))
-    tinv = [[inv.entry(i, k) for k in range(dim)] for i in range(dim)]
+    units = [pairs[p] for p in perm]
+    basis = [IncMatrix(pro, ring, {units[k]: t[i][k] for k in range(i, dim)}) for i in range(dim)]
 
-    # raw pair units multiply by splicing, so the raw table is 0/1 valued
-    idx = {p: i for i, p in enumerate(pairs)}
+    def coords(m):
+        w = []
+        for k, u in enumerate(units):
+            acc = m.entry(*u)
+            for i in range(k):
+                if w[i] != ring.zero and t[i][k] != ring.zero:
+                    acc = ring.sub(acc, ring.mul(w[i], t[i][k]))
+            w.append(acc)
+        return tuple(w)
 
-    def raw_mul(i, j):
-        (a, b), (c, d) = pairs[perm[i]], pairs[perm[j]]
-        if b != c:
-            return None
-        return where[idx[(a, d)]]
+    def formatted(m):
+        return [ring.format(c) for c in coords(m)]
 
-    def to_basis(raw_vec):
-        # raw coordinates v over permuted units; basis coords w solve w.T = v
-        out = []
-        for k in range(dim):
-            acc = ring.zero
-            for i in range(dim):
-                if raw_vec[i] != ring.zero:
-                    acc = ring.add(acc, ring.mul(raw_vec[i], tinv[i][k]))
-            out.append(acc)
-        return tuple(out)
-
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            raw = [ring.zero] * dim
-            for k in range(dim):
-                if t[i][k] == ring.zero:
-                    continue
-                for l in range(dim):
-                    if t[j][l] == ring.zero:
-                        continue
-                    m = raw_mul(k, l)
-                    if m is not None:
-                        raw[m] = ring.add(raw[m], ring.mul(t[i][k], t[j][l]))
-            row.append([ring.format(c) for c in to_basis(raw)])
-        table.append(row)
-
-    def matrix_to_coords(m):
-        raw = [ring.zero] * dim
-        for (a, b), v in m.entries.items():
-            raw[where[idx[(a, b)]]] = v
-        return to_basis(raw)
-
-    one = indicator(pro, ring, pro.elements)
     bundle = {
         "ring": ring.descriptor()["ring"],
         "dim": dim,
-        "table": table,
-        "one": [ring.format(c) for c in matrix_to_coords(one)],
+        "table": [[formatted(x.mul(y)) for y in basis] for x in basis],
+        "one": formatted(indicator(pro, ring, pro.elements)),
     }
-
-    def sampler(r):
-        s = r.choice(pro.elements)
-        w = random_invertible(pro, ring, r)
-        return matrix_to_coords(w.mul(indicator(pro, ring, [s])).mul(invert(w)))
-
     if samples:
         srng = random.Random(seed + 1)
-        bundle["samples"] = [
-            [ring.format(c) for c in sampler(srng)] for _ in range(samples)
-        ]
-    return bundle, BundleAccess(bundle, ring, sampler=sampler)
+        bundle["samples"] = [formatted(access.sample_idempotent(srng)) for _ in range(samples)]
+    return bundle, BundleAccess(bundle, ring, sampler=lambda r: coords(access.sample_idempotent(r)))
 
 
 # -- the recovery procedure ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """The command line: reports, determinism, exit codes, round trips."""
 
+import builtins
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import incring
 from incring.cli import main
+from incring.errors import IncRingError
 from incring.io import proset_from_json
 from incring.prosets import Proset
 
@@ -168,6 +170,39 @@ def test_missing_option_is_exit_1_without_traceback(capsys, argv, flag):
      "ring 'gf' must be a prime, got 4"),
     (["group", "random", "--proset", '{"elements": [0]}', "--ring", "mod:x"],
      'ring \'mod\' must be an integer >= 2, got "x"'),
+    (["proset", "window", "--family", "two_block:0,1", "--k", "1"],
+     "--family two_block:m,n needs integers m >= 1 and n >= 0, got 'two_block:0,1'"),
+    (["proset", "window", "--family", "two_block:a,b", "--k", "1"],
+     "--family two_block:m,n needs integers m >= 1 and n >= 0, got 'two_block:a,b'"),
+    (["proset", "window", "--family", "two_block:1", "--k", "1"],
+     "--family two_block:m,n needs integers m >= 1 and n >= 0, got 'two_block:1'"),
+    (["proset", "window", "--family", '{"family":{"two_block":["x",1]}}', "--k", "1"],
+     '$.family.two_block must hold integers m >= 1 and n >= 0, got ["x", 1]'),
+    (["proset", "window", "--family", '{"family":{"two_block":[0,0]}}', "--k", "1"],
+     "$.family.two_block must hold integers m >= 1 and n >= 0, got [0, 0]"),
+    (["lazy", "mul", "--a", '{"family":{"family":"Z"},"ring":"Q","oracle":"nope"}', "--b", "{}"],
+     '$.oracle names no built-in oracle, got "nope"'),
+    (["lazy", "mul", "--a", '{"family":{"augment":{"base":{"family":"Z"},"sets":[[]]}},"ring":"Q"}',
+      "--b", "{}"], "$.family.augment.sets[0] must be a nonempty JSON array, got []"),
+    (["functor", "validate", "--map",
+      '{"domain":{"elements":[0,1]},"codomain":{"elements":[0]},"map":{"0":0}}'],
+     "$.map gives 1 no image"),
+    (["experiment", "--config", '{"experiment":"dickson","n":"2","q":5}'],
+     '$.n must be a natural number, got "2"'),
+    (["experiment", "--config", '{"experiment":"dickson","n":2,"q":1.5}'],
+     "$.q must be a natural number, got 1.5"),
+    (["experiment", "--config", '{"experiment":"dickson","n":2,"q":4}'], "$.q must be a prime, got 4"),
+    (["experiment", "--config",
+      '{"experiment":"commutators","proset":{"elements":[0]},"ring":"Q","depth":[]}'],
+     "$.depth must be a natural number, got []"),
+    (["experiment", "--config",
+      '{"experiment":"commutators","proset":{"elements":[0]},"ring":"Q","depth":-1}'],
+     "$.depth must be a natural number, got -1"),
+    (["experiment", "--config",
+      '{"experiment":"commutators","proset":{"elements":[0]},"ring":"Q","depth":1,"samples":"x"}'],
+     '$.samples must be a natural number, got "x"'),
+    (["experiment", "--config", '{"experiment":"dickson","n":2,"q":5,"seed":[1]}'],
+     "$.seed must be an integer, got [1]"),
 ])
 def test_malformed_input_is_typed(capsys, argv, message):
     code = main(argv)
@@ -203,6 +238,25 @@ def test_unknown_label_is_typed(capsys, argv, message):
     assert code == 1
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["error"] == {"type": "UnknownElement", "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lazy", "qz", "--family", "Zig", "--ring", "Q", "--window", "2", "--inner", "1"],
+     "qz needs a finite coefficient ring, got Q"),
+    (["experiment", "--config", json.dumps({"experiment": "qz", "family": {"family": "Zig"},
+                                            "ring": "Z", "window": 2, "inner": 1})],
+     "qz needs a finite coefficient ring, got Z"),
+    (["lazy", "qz", "--family", "Zig", "--ring", "gf:2", "--window", "1", "--inner", "2"],
+     "inner window must sit inside the outer one"),
+    (["lazy", "qz", "--family", "Zig", "--ring", "gf:2", "--window", "1", "--inner", "1"],
+     "N_1-closure of the inner window leaks outside"),
+])
+def test_qz_refusal_is_typed(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == {"type": "HypothesisViolation", "message": message}
 
 
 def test_missing_file_is_exit_1(capsys):
@@ -526,6 +580,7 @@ WEDGE = {"elements": ["u", "v", "t"], "relations": [["u", "t"], ["v", "t"]]}
 ANTI2 = {"elements": [1, 2], "relations": []}
 GLUED = {"elements": ["x", "y1", "y2", "z", "u", "v"],
          "relations": [["x", "y1"], ["y2", "z"], ["u", "v"]]}
+N4 = {"elements": ["a", "b", "c", "d"], "relations": [["a", "c"], ["b", "c"], ["b", "d"]]}
 GOLDEN = {
     "pushout_diamond": [
         "functor", "pushout",
@@ -579,6 +634,12 @@ GOLDEN = {
         "ring": {"mod": 6},
         "entries": [[0, 0, "1"], [0, 1, "1"], [1, 0, "1"], [1, 1, "1"], [2, 0, "1"], [2, 2, "3"]],
     })],
+    # a bundle's table, identity and sampled idempotents over an N-shaped
+    # 4-point poset; the Q one shows fraction formatting and the Q sampler
+    "scramble_n_gf3": ["scramble", "--proset", json.dumps(N4), "--ring", "gf:3", "--seed", "5",
+                       "--samples", "3"],
+    "scramble_n_q": ["scramble", "--proset", json.dumps(N4), "--ring", "Q", "--seed", "5",
+                     "--samples", "2"],
 }
 
 
@@ -587,3 +648,87 @@ def test_golden_bytes(capsys, name):
     main(GOLDEN[name])
     expected = (GOLDEN_DIR / (name + ".out")).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+# -- hostile values -------------------------------------------------------------------
+# Every option of every action, one at a time, takes each of a fixed list of
+# hostile values while the others keep valid ones; an experiment's config
+# keys count as options.  Every run ends in a report or a usage error:
+# never a raised exception, and every error report names a typed error.
+
+HOSTILE = ["null", "[]", "{}", '"x"', "-1", "0", "1.5", '{"a":1}', "[[]]", '"1/0"', "true",
+           '{"family":{"two_block":[0,0]}}', '{"dim":-1}', "mod:x", "gf:", ","]
+CHAIN3_JSON = json.dumps({"elements": [0, 1, 2], "relations": [[0, 1], [1, 2]]})
+LZ = json.dumps({"family": {"family": "Zig"}, "ring": {"gf": 5},
+                 "off_diagonal": [[0, 1, "2"]], "diagonal_default": "1"})
+SPAN = GOLDEN["pushout_diamond"][2:]
+PARALLEL = GOLDEN["coeq_glued"][2:]
+ACTIONS = {
+    "proset intervals": [["--family", "N", "--from", "0", "--to", "2"],
+                         ["--proset", CHAIN3_JSON, "--from", "0", "--to", "2"]],
+    "proset window": [["--family", "Zig", "--k", "2"]],
+    "proset closure": [["--proset", CHAIN3_JSON, "--subset", "0,2"]],
+    "proset check": [["--proset", CHAIN3_JSON]],
+    "algebra mul": [["--a", ID2, "--b", ID2]],
+    "algebra add": [["--a", ID2, "--b", ID2]],
+    "algebra project": [["--a", ID2, "--subset", "0,1"]],
+    "group invert": [["--input", ID2]],
+    "group certify": [["--input", ID2]],
+    "group central": [["--input", ID2]],
+    "group commutator": [["--a", ID2, "--b", ID2]],
+    "group random": [["--proset", CHAIN3_JSON, "--ring", "gf:5", "--seed", "3"]],
+    "lazy project": [["--input", LZ, "--window", "2"]],
+    "lazy invert": [["--input", LZ, "--window", "2"]],
+    "lazy mul": [["--a", LZ, "--b", LZ, "--window", "2"]],
+    "lazy qz": [["--family", "Zig", "--ring", "gf:2", "--window", "2", "--inner", "1"]],
+    "recover": [["--input", json.dumps({"proset": json.loads(CHAIN3_JSON), "ring": {"gf": 2}}),
+                 "--mode", "exhaustive", "--budget", "100000", "--seed", "0"]],
+    "functor validate": [["--map", TO_AB]],
+    "functor apply": [["--map", TO_AB, "--matrix", OVER_AB]],
+    "functor compose": [["--f", TO_AB, "--g", TO_XY]],
+    "functor pushout": [SPAN],
+    "functor coeq": [PARALLEL],
+    "scramble": [["--proset", CHAIN3_JSON, "--ring", "gf:2", "--seed", "1", "--samples", "2"]],
+}
+CONFIGS = {
+    "dickson": {"n": 3, "q": 2},
+    "commutators": {"proset": json.loads(CHAIN3_JSON), "ring": {"gf": 3}, "depth": 2, "samples": 5,
+                    "seed": 7},
+    "center": {"matrix": json.loads(ID2)},
+    "qz": {"family": {"family": "Zig"}, "ring": {"gf": 2}, "window": 2, "inner": 1},
+}
+
+
+def _json_or_text(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def hostile_runs():
+    for action, bases in ACTIONS.items():
+        for base in bases:
+            for i in range(1, len(base), 2):
+                for value in HOSTILE:
+                    yield action.split() + base[:i] + [value] + base[i + 1:]
+    for value in HOSTILE:
+        yield ["experiment", "--config", value]
+    for kind, cfg in CONFIGS.items():
+        cfg = dict(cfg, experiment=kind)
+        for value in HOSTILE:
+            yield ["experiment", "--config", json.dumps(cfg), "--seed", value]
+            for key in cfg:
+                yield ["experiment", "--config", json.dumps(dict(cfg, **{key: _json_or_text(value)}))]
+
+
+def test_every_action_survives_hostile_values(capsys):
+    assert len(ACTIONS) + len(CONFIGS) == 27
+    for argv in hostile_runs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            kind = json.loads(captured.out)["error"]["type"]
+            cls = getattr(incring.errors, kind, None) or getattr(builtins, kind, None)
+            assert isinstance(cls, type) and issubclass(cls, (IncRingError, OSError)), argv

@@ -253,6 +253,14 @@ def test_scramble_hides_but_preserves_structure():
         assert access.mul(access.mul(x, y), z) == access.mul(x, access.mul(y, z))
 
 
+def test_scramble_sampler_draws_are_pinned():
+    """The live sampler's first draws, as the bundle coordinates it returns."""
+    _, access = scramble(VEE, PrimeField(3), seed=2)
+    rng = random.Random(0)
+    draws = [access.sample_idempotent(rng) for _ in range(2)]
+    assert draws == [(0, 2, 2, 1, 1), (0, 1, 0, 1, 1)]
+
+
 def test_scramble_requires_poset():
     looped = Proset([0, 1], [(0, 1), (1, 0)])
     with pytest.raises(PosetRequired):
