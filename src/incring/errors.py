@@ -126,6 +126,6 @@ class NoValidCutPair(IncRingError):
 
 
 class MalformedInput(IncRingError):
-    """A JSON input lacks a required key, has a value of the wrong shape (a
-    non-object where an object belongs, or an array of the wrong length), or
-    names no known ring or family."""
+    """A JSON input or a call's arguments lack a required key or part, hold a
+    value of the wrong shape or range (a non-object where an object belongs,
+    an array of the wrong length), or name no known ring or family."""

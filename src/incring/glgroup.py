@@ -19,7 +19,7 @@ import itertools
 from collections import namedtuple
 from functools import reduce
 
-from .errors import HypothesisViolation, NotInvertible
+from .errors import HypothesisViolation, MalformedInput, NotInvertible
 from .matrices import IncMatrix, _raw, identity, unit
 from .prosets import elem_key, two_block
 from .rings import PrimeField
@@ -434,12 +434,10 @@ def iterated_commutator_sample(pro, ring, depth, samples, rng):
     """Sample depth-k iterated commutators and check the vanishing pattern:
     on every interval with at most `depth` elements the entries agree with
     the identity.  Returns a small report dict."""
+    if depth < 0:
+        raise MalformedInput("depth must be a natural number, got %r" % (depth,))
     checked = violations = 0
-    small = [
-        (s1, s2)
-        for (s1, s2) in pro.pairs()
-        if len(pro.interval(s1, s2)) <= depth
-    ]
+    small = [(s1, s2) for (s1, s2) in pro.pairs() if len(pro.interval(s1, s2)) <= depth]
 
     def deep(k):
         if k == 0:

@@ -288,7 +288,7 @@ def lazy_from_json(obj, path="$"):
 
 def lazy_to_json(lz):
     if lz.finitary is None:
-        raise ValueError("only finitary lazy elements serialize")
+        raise MalformedInput("only finitary lazy elements serialize")
     off, exc, default = lz.finitary
     return {
         "family": family_to_json(lz.family),

@@ -2,20 +2,17 @@
 window projections realizing the inverse limit, and the augmented direct
 limit aGL.
 
-A lazy matrix answers one coordinate at a time.  Finitary ones carry a
-descriptor (finite off-diagonal support, finitely many diagonal exceptions
-over a scalar default) and support eager multiplication and inversion on the
-finite set of sites their descriptors touch.  The matrices whose off-diagonal
-support lies inside the sites and whose diagonal is scalar outside them form
-a subring, and restriction to the sites is multiplicative on it, so a product
-or an inverse is the M_n(P) product or inverse of the blocks on the sites
-plus a scalar diagonal elsewhere.
+Every product and inverse is an M_n(P) operation on finite blocks (_block).
+A finitary result is computed at once on the sites its operands touch; any
+other result keeps its operation and operands, and runs them on W's kept
+subproset for project(W) and on the interval [s1, s2] for entry(s1, s2).
 """
 
 from .errors import (
     HypothesisViolation,
     IncompatibleOperands,
     InfiniteNeighborhood,
+    MalformedInput,
     NotInvertible,
     UnknownElement,
 )
@@ -43,9 +40,12 @@ __all__ = [
 class LazyMatrix:
     """Matrix over a family, queried coordinatewise.
 
-    `finitary` is None for pure oracles, else a triple
-    (off_diag dict, diag_exceptions dict, diag_default).
+    `finitary` is None for oracles, else a triple (off_diag dict,
+    diag_exceptions dict, diag_default).  An oracle result of lazy_mul or
+    lazy_invert holds (operation, operands) in `_op` instead of an oracle.
     """
+
+    _op = None
 
     def __init__(self, family, ring, oracle=None, finitary=None):
         self.family = family
@@ -53,11 +53,9 @@ class LazyMatrix:
         self._memo = {}
         if finitary is not None:
             off, exc, default = finitary
-            off = {k: ring.canon(v) for k, v in off.items()}
-            off = {k: v for k, v in off.items() if v != ring.zero}
-            exc = {s: ring.canon(v) for s, v in exc.items()}
+            off = {k: c for k, v in off.items() if (c := ring.canon(v)) != ring.zero}
             default = ring.canon(default)
-            exc = {s: v for s, v in exc.items() if v != default}
+            exc = {s: c for s, v in exc.items() if (c := ring.canon(v)) != default}
             self.finitary = (off, exc, default)
             for s in self.support_sites():
                 if s not in family:
@@ -70,7 +68,7 @@ class LazyMatrix:
             self.oracle = None
         else:
             if oracle is None:
-                raise ValueError("need an oracle or a finitary descriptor")
+                raise MalformedInput("need an oracle or a finitary descriptor")
             self.finitary = None
             self.oracle = oracle
 
@@ -84,23 +82,23 @@ class LazyMatrix:
             return self.ring.zero
         key = (s1, s2)
         if key not in self._memo:
-            self._memo[key] = self.ring.canon(self.oracle(s1, s2))
+            if self._op is None:
+                self._memo[key] = self.ring.canon(self.oracle(s1, s2))
+            else:
+                box = self.family.restrict(self.family.interval(s1, s2))
+                self._memo[key] = _block(self, box).entry(s1, s2)
         return self._memo[key]
 
     def support_sites(self):
         """Elements touched by the finitary descriptor."""
         off, exc, _ = self.finitary
-        sites = set(exc)
-        for (a, b) in off:
-            sites.add(a)
-            sites.add(b)
-        return sites
+        return set(exc).union(*off)
 
     def project(self, window):
         """pi_window: restriction to a finite convex window (NotConvex
         otherwise), as an IncMatrix.  The family keeps the subproset of a
         window that passed the test, so projecting onto it again reuses it."""
-        return _read(self, self.family._window_proset(window))
+        return _block(self, self.family._window_proset(window))
 
     def __repr__(self):
         kind = "finitary" if self.finitary is not None else "oracle"
@@ -112,31 +110,42 @@ def lazy_from_oracle(family, ring, fn):
 
 
 def lazy_finitary(family, ring, off_diag=(), exceptions=(), default=None):
-    off = dict(off_diag)
-    exc = dict(exceptions)
-    if default is None:
-        default = ring.one
-    return LazyMatrix(family, ring, finitary=(off, exc, default))
+    default = ring.one if default is None else default
+    return LazyMatrix(family, ring, finitary=(dict(off_diag), dict(exceptions), default))
 
 
 def lazy_identity(family, ring):
     return lazy_finitary(family, ring)
 
 
-def _convolve(family, ring, a, b, s1, s2):
-    acc = ring.zero
-    for t in family.interval(s1, s2):
-        acc = ring.add(acc, ring.mul(a.entry(s1, t), b.entry(t, s2)))
-    return acc
+def _derived(op, *operands):
+    """The oracle result of `op` on lazy operands, kept as that record."""
+    out = LazyMatrix.__new__(LazyMatrix)
+    out.family, out.ring, out._memo = operands[0].family, operands[0].ring, {}
+    out.finitary = out.oracle = None
+    out._op = (op, operands)
+    return out
+
+
+def _block(x, sub):
+    """`x` on `sub`, a finite subproset of its family, as an IncMatrix.  An
+    oracle result runs its operation on its operands' blocks.  That needs
+    `sub` convex: then every interval between its points lies in it, so
+    pi_sub(ab) = pi_sub(a) pi_sub(b) and pi_sub(a^-1) = pi_sub(a)^-1."""
+    if x._op is None:
+        return _read(x, sub)
+    op, operands = x._op
+    return op(*(_block(y, sub) for y in operands))
 
 
 def _on_sites(op, default, *operands):
-    """op on finitary operands, run on the blocks they induce on the union
-    of their sites; `default` is the result's diagonal off the sites."""
+    """op on finitary operands, run on their blocks on the union of their
+    sites, where restriction is multiplicative (such matrices form a
+    subring); `default` is the result's diagonal off the sites."""
     family, ring = operands[0].family, operands[0].ring
     sites = set().union(*(x.support_sites() for x in operands))
     sub = family.restrict(sites)
-    block = op(*(_read(x, sub) for x in operands))
+    block = op(*(_block(x, sub) for x in operands))
     off = {k: v for k, v in block.entries.items() if k[0] != k[1]}
     exc = {s: block.entry(s, s) for s in sub.elements}
     return LazyMatrix(family, ring, finitary=(off, exc, default))
@@ -144,37 +153,29 @@ def _on_sites(op, default, *operands):
 
 def lazy_mul(a, b):
     """Product of lazy matrices; finitary operands produce a finitary result,
-    anything else a memoized convolution oracle."""
+    anything else an oracle result evaluated on blocks (see _block)."""
     if a.family != b.family or a.ring != b.ring:
         raise IncompatibleOperands("lazy operands over different families or rings")
-    family, ring = a.family, a.ring
     if a.finitary is not None and b.finitary is not None:
-        return _on_sites(IncMatrix.mul, ring.mul(a.finitary[2], b.finitary[2]), a, b)
-    return LazyMatrix(family, ring, oracle=lambda s1, s2: _convolve(family, ring, a, b, s1, s2))
+        return _on_sites(IncMatrix.mul, a.ring.mul(a.finitary[2], b.finitary[2]), a, b)
+    return _derived(IncMatrix.mul, a, b)
 
 
 def lazy_invert(a):
     """Inverse of a lazy matrix.
 
-    Finitary input gives a finitary inverse at once.  For oracles the inverse
-    is computed coordinatewise: the (s1, s2) entry of the inverse only
-    depends on the interval [s1, s2], so it is read off from inverting the
-    projection to that interval.
+    Finitary input gives a finitary inverse at once.  Otherwise the oracle
+    result's project(W) inverts a's |W|-point block on W once, and a single
+    entry (s1, s2) inverts a's block on [s1, s2]; NotInvertible names the
+    first singular class of that block.
     """
-    family, ring = a.family, a.ring
+    ring = a.ring
     if a.finitary is not None:
         default = a.finitary[2]
         if not ring.is_unit(default):
             raise NotInvertible("diagonal default %s is not a unit" % ring.format(default))
         return _on_sites(invert, ring.inv(default), a)
-
-    def coord(s1, s2):
-        box = family.interval(s1, s2)
-        if not box:
-            return ring.zero
-        return invert(_read(a, family.restrict(box))).entry(s1, s2)
-
-    return LazyMatrix(family, ring, oracle=coord)
+    return _derived(invert, a)
 
 
 # -- the augmented direct limit ------------------------------------------------

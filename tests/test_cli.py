@@ -640,6 +640,18 @@ GOLDEN = {
                        "--samples", "3"],
     "scramble_n_q": ["scramble", "--proset", json.dumps(N4), "--ring", "Q", "--seed", "5",
                      "--samples", "2"],
+    # zeta^-1 on divisibility over F7 is the Moebius function, 6 standing for -1
+    "lazy_invert_moebius": ["lazy", "invert", "--window", "3", "--input", json.dumps({
+        "family": {"family": {"nstar_div": True}}, "ring": {"gf": 7}, "oracle": "upper_ones",
+    })],
+    # an oracle times a finitary element is an oracle: only its window prints
+    "lazy_mul_oracle_finitary": ["lazy", "mul", "--window", "3",
+        "--a", json.dumps({"family": {"family": "Zig"}, "ring": {"gf": 5},
+                           "oracle": "upper_ones"}),
+        "--b", json.dumps({"family": {"family": "Zig"}, "ring": {"gf": 5},
+                           "off_diagonal": [[0, 1, "2"], [2, 1, "3"]],
+                           "diagonal_exceptions": [[1, "4"]]}),
+    ],
 }
 
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from incring.errors import HypothesisViolation, NotInvertible
+from incring.errors import HypothesisViolation, MalformedInput, NotInvertible
 from incring.glgroup import (
     GroupElement,
     _block_inverse,
@@ -292,6 +292,11 @@ def test_iterated_commutators_vanish_by_depth():
     for depth in (1, 2, 3):
         rep = iterated_commutator_sample(CHAIN3, PrimeField(3), depth, 50, rng)
         assert rep["violations"] == 0
+
+
+def test_negative_commutator_depth_is_refused():
+    with pytest.raises(MalformedInput, match="depth must be a natural number, got -1"):
+        iterated_commutator_sample(CHAIN3, PrimeField(3), -1, 1, random.Random(0))
 
 
 def test_two_bounded_posets_have_trivial_depth_two():

@@ -21,6 +21,7 @@ from incring.io import (
     ring_from_json,
     ring_to_json,
 )
+from incring.lazy import named_oracle
 from incring.matrices import identity, unit
 from incring.prosets import Proset, ZigFamily
 from incring.rings import QQ, ModRing, PrimeField, ZZ
@@ -88,6 +89,11 @@ def test_lazy_round_trip():
     again = lazy_from_json(doc)
     w = fam.window(3)
     assert again.project(w) == lz.project(w)
+
+
+def test_only_finitary_lazy_elements_serialize():
+    with pytest.raises(MalformedInput, match="only finitary lazy elements serialize"):
+        lazy_to_json(named_oracle("upper_ones", ZigFamily(), QQ))
 
 
 def test_family_labels_read_digit_strings_as_integers():

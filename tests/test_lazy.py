@@ -1,12 +1,21 @@
 """Lazy matrices over infinite prosets: windows, finitary arithmetic, aGL."""
 
 import random
+import re
 
 import pytest
 
-from incring.errors import IncompatibleOperands, NotConvex, NotInvertible, UnknownElement
+from incring.errors import (
+    IncompatibleOperands,
+    MalformedInput,
+    NotConvex,
+    NotInvertible,
+    UnknownElement,
+)
+from incring.glgroup import invert
 from incring.lazy import (
     AglElement,
+    LazyMatrix,
     agl_embed,
     agl_identity,
     agl_invert,
@@ -156,7 +165,7 @@ def test_nonunit_default_not_invertible():
 
 
 def test_oracle_inverse_matches_finitary_route():
-    """Inverting through per-coordinate window solves must agree with the
+    """Inverting an oracle through its window block must agree with the
     closed-form finitary inverse."""
     rng = random.Random(89)
     fam = ZigFamily()
@@ -192,6 +201,144 @@ def test_named_oracle_upper_ones():
     m = lz.project(win)
     for (a, b) in m.pro.pairs():
         assert m.entry(a, b) == 1
+
+
+def test_lazy_matrix_needs_an_oracle_or_a_descriptor():
+    with pytest.raises(MalformedInput, match="need an oracle or a finitary descriptor"):
+        LazyMatrix(NFamily(), QQ)
+
+
+# -- oracle products and inverses through blocks -------------------------------------
+# The per-coordinate route they replaced, kept as a reference: a product
+# convolves over the interval [s1, s2] for every coordinate, and an inverse
+# inverts the whole interval block for every coordinate.
+
+
+def ref_mul(a, b):
+    fam, ring = a.family, a.ring
+
+    def coord(s1, s2):
+        acc = ring.zero
+        for t in fam.interval(s1, s2):
+            acc = ring.add(acc, ring.mul(a.entry(s1, t), b.entry(t, s2)))
+        return acc
+
+    return lazy_from_oracle(fam, ring, coord)
+
+
+def ref_invert(a):
+    fam, ring = a.family, a.ring
+
+    def coord(s1, s2):
+        box = fam.restrict(fam.interval(s1, s2))
+        return invert(IncMatrix(box, ring, {p: a.entry(*p) for p in box.pairs()})).entry(s1, s2)
+
+    return lazy_from_oracle(fam, ring, coord)
+
+
+def table_oracle(fam, ring, window, rng):
+    """An oracle reading a seeded table on the window's order pairs, with
+    units on the diagonal; the order it is read in does not matter."""
+    units = ring.units()
+    vals = {(s1, s2): rng.choice(units) if s1 == s2 else ring.random(rng)
+            for s1, s2 in fam.restrict(window).pairs()}
+    return lazy_from_oracle(fam, ring, lambda s1, s2: vals[(s1, s2)])
+
+
+def outcome(read):
+    """A value, or the type and message of the NotInvertible it raised."""
+    try:
+        return read()
+    except NotInvertible as exc:
+        return ("NotInvertible", str(exc))
+
+
+@pytest.mark.parametrize("fam, k", [
+    (ZFamily(), 3), (ZigFamily(), 3), (NStarDivFamily(), 4), (AUG, 5),
+], ids=["Z", "Zig", "NStarDiv", "augmented"])
+def test_oracle_results_match_the_per_coordinate_route(fam, k):
+    """project(W) and every single entry of oracle products, inverses and a
+    nested product, against the reference route; singular draws (the {3, 4}
+    class of the augmented family) must fail with the same message."""
+    rng = random.Random(107)
+    ring = PrimeField(3)
+    win = fam.window(k)
+    pairs = fam.restrict(win).pairs()
+    singular = 0
+    for _ in range(5):
+        a, b = table_oracle(fam, ring, win, rng), table_oracle(fam, ring, win, rng)
+        f = random_finitary(fam, ring, rng, span=2)
+        for new, ref in [
+            (lazy_mul(a, b), ref_mul(a, b)),
+            (lazy_invert(a), ref_invert(a)),
+            (lazy_mul(a, lazy_invert(b)), ref_mul(a, ref_invert(b))),
+            (lazy_mul(lazy_invert(b), f), ref_mul(ref_invert(b), f)),
+        ]:
+            want = outcome(lambda: ref.project(win))
+            singular += isinstance(want, tuple)
+            assert outcome(lambda: new.project(win)) == want
+            for s1, s2 in pairs:
+                got = outcome(lambda: new.entry(s1, s2))
+                assert got == outcome(lambda: ref.entry(s1, s2))
+    assert (singular > 0) == (fam is AUG)
+
+
+def moebius(n):
+    """mu(n) by trial division."""
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def test_zeta_inverse_is_the_moebius_function():
+    """Rota 1964; Stanley, EC1 section 3.7: on divisibility the inverse of
+    zeta has entry (m, n) = mu(n/m); on Z it is 1 on the diagonal, -1 on
+    (s, s + 1) and 0 elsewhere.  Read through project and single entries."""
+    f7 = PrimeField(7)
+    fam = NStarDivFamily()
+    mu = lazy_invert(named_oracle("upper_ones", fam, f7))
+    assert [mu.entry(1, n) for n in range(1, 13)] == [1, 6, 6, 0, 6, 1, 6, 0, 0, 1, 6, 0]
+    m = mu.project(fam.window(4))
+    for a, b in m.pro.pairs():
+        assert m.entry(a, b) == mu.entry(a, b) == f7.canon(moebius(b // a))
+    fam = ZFamily()
+    inv = lazy_invert(named_oracle("upper_ones", fam, QQ))
+    m = inv.project(fam.window(5))
+    for a, b in m.pro.pairs():
+        want = 1 if a == b else -1 if b == a + 1 else 0
+        assert m.entry(a, b) == inv.entry(a, b) == want
+
+
+def test_singular_oracle_names_its_first_singular_class():
+    """An inverse fails on a block only when a class in it is singular, and
+    names the first such class, as the per-coordinate route did."""
+    fam = ZFamily()
+    a = lazy_from_oracle(fam, QQ, lambda s1, s2: 0 if s1 == s2 and s1 in (2, -1) else 1)
+    inv = lazy_invert(a)
+    assert inv.entry(0, 1) == -1  # [0, 1] holds no singular class
+    aug = lazy_from_oracle(AUG, PrimeField(2), lambda s1, s2: 1)
+    cases = [
+        (lambda: inv.project(fam.window(3)), "(-1,)"),
+        (lambda: inv.project([0, 1, 2, 3]), "(2,)"),
+        (lambda: inv.entry(0, 3), "(2,)"),
+        (lambda: lazy_mul(a, inv).project(fam.window(3)), "(-1,)"),
+        (lambda: lazy_invert(aug).project(AUG.window(5)), "(3, 4)"),
+        (lambda: lazy_invert(aug).entry(2, 4), "(3, 4)"),
+    ]
+    for read, cls in cases:
+        message = "class block %s has non-unit determinant" % cls
+        with pytest.raises(NotInvertible, match="^%s$" % re.escape(message)):
+            read()
+    for read in (lambda: ref_invert(a).project(fam.window(3)),
+                 lambda: ref_mul(a, ref_invert(a)).project(fam.window(3))):
+        with pytest.raises(NotInvertible, match=re.escape("class block (-1,)")):
+            read()
 
 
 # -- the direct limit over augmentations ------------------------------------------
