@@ -7,14 +7,14 @@ coequalizers exist but may collapse components: starting from the forced
 identifications, any component a leg fails to treat admissibly is flattened
 to a point, repeated to a fixed point.  That is the least quotient making
 both legs admissible, and the mediating-map property is exact for it.
-An embedded component is certified by one convexity test, of its whole
-image (see validate_fcc).
+Both validate_fcc and the collapse class each component by one routine,
+_component_kind; an embedded component takes one convexity test, of its
+whole image.
 """
-
-import itertools
 
 from .errors import (
     IncompatibleOperands,
+    MalformedInput,
     NoValidCutPair,
     NotComposable,
     NotConvexImage,
@@ -22,6 +22,7 @@ from .errors import (
     NotIrreducible,
     NotOrderPreserving,
     NotParallel,
+    UnknownElement,
 )
 from .matrices import IncMatrix, identity, scalar_diag, unit
 from .prosets import Proset, _close, _flood, elem_key
@@ -54,9 +55,9 @@ class FccMap:
         self.mapping = dict(mapping)
         for s in domain.elements:
             if s not in self.mapping:
-                raise ValueError("no image for %r" % (s,))
+                raise MalformedInput("no image for %r" % (s,))
             if self.mapping[s] not in codomain:
-                raise ValueError("image %r is not in the codomain" % (self.mapping[s],))
+                raise UnknownElement("image %r is not in the codomain" % (self.mapping[s],))
 
     def __call__(self, s):
         return self.mapping[s]
@@ -82,16 +83,47 @@ class FccMap:
         return "FccMap(%r)" % (self.mapping,)
 
 
+def _singleton_convex(pro, v):
+    """The singleton {v} is convex, that is, v's class is {v}."""
+    return len(pro.equiv_class(v)) == 1
+
+
+def _component_kind(dom, cod, comp, imgs):
+    """How sending the component `comp` of `dom`, in rank order, to `imgs`
+    treats it: ("constant", v) or ("embedding",) when admissible, else the
+    first fault of ("class", v), ("merge",), ("order", s1, s2) and
+    ("convex",).  Order preservation is not tested.  One convexity test, of
+    the whole image, certifies an embedding: f reflects order there, so an
+    interval between points of f(C), C convex in comp, pulls back into C."""
+    values = set(imgs)
+    if len(values) == 1:
+        return ("constant" if _singleton_convex(cod, imgs[0]) else "class", imgs[0])
+    if len(values) < len(comp):
+        return ("merge",)
+    for s1, x in zip(comp, imgs):
+        for s2, y in zip(comp, imgs):
+            if s1 != s2 and cod.leq(x, y) and not dom.leq(s1, s2):
+                return ("order", s1, s2)
+    return ("embedding",) if cod.is_convex(values) else ("convex",)
+
+
+def _least_witness(f, comp):
+    """The least convex subset of an embedded component, by size and then by
+    the ranks of its points, whose image is not convex.  It is an interval:
+    if C is convex and f(a) <= z <= f(b) for a, b in C and z outside f(C),
+    then a <= b as f reflects order, and f([a, b]) is not convex either.  So
+    the O(|comp|^2) intervals are searched, not the subsets."""
+    dom, rank = f.domain, f.domain.rank.__getitem__
+    cands = sorted({dom.interval(a, b) for a in comp for b in comp if dom.leq(a, b)},
+                   key=lambda c: (len(c), [rank(s) for s in c]))
+    return next(c for c in cands if not f.codomain.is_convex(map(f, c)))
+
+
 def validate_fcc(f):
     """Check admissibility.  Returns one record per component of the domain,
     ('constant', component, value) or ('embedding', component).  Raises
-    NotOrderPreserving, NotConvexImage or NotFcc.
-
-    An embedded component takes one convexity test, of its whole image: f
-    preserves order and is injective and order-reflecting there, so if
-    f(comp) is convex, an interval between points of f(C), for any convex C
-    in comp, pulls back into C, and f(C) stays connected.  Only when the
-    test fails are the convex subsets searched, to name the least witness."""
+    NotOrderPreserving, NotConvexImage or NotFcc; a non-convex image is
+    reported with its least witness."""
     dom, cod = f.domain, f.codomain
     for (s1, s2) in dom.pairs():
         if not cod.leq(f(s1), f(s2)):
@@ -102,37 +134,20 @@ def validate_fcc(f):
     rank = dom.rank.__getitem__
     for comp in dom.components():
         comp = sorted(comp, key=rank)
-        values = {f(s) for s in comp}
-        if len(values) == 1:
-            v = next(iter(values))
-            if not cod.is_convex([v]):
-                raise NotConvexImage(
-                    "component %r is constant at %r, whose singleton is not "
-                    "convex downstream" % (comp, v)
-                )
-            out.append(("constant", tuple(comp), v))
-            continue
-        if len(values) < len(comp):
+        kind = _component_kind(dom, cod, comp, [f(s) for s in comp])
+        if kind[0] == "class":
+            raise NotConvexImage("component %r is constant at %r, whose singleton is not "
+                                 "convex downstream" % (comp, kind[1]))
+        if kind[0] == "merge":
             raise NotFcc("component %r is neither constant nor injective" % (comp,))
-        for s1 in comp:
-            for s2 in comp:
-                if s1 != s2 and cod.leq(f(s1), f(s2)) and not dom.leq(s1, s2):
-                    raise NotFcc(
-                        "component %r does not embed: order appears between "
-                        "%r and %r only downstream" % (comp, s1, s2)
-                    )
-        if cod.is_convex(values):
-            out.append(("embedding", tuple(comp)))
-            continue
-        for size in range(1, len(comp) + 1):
-            for cand in itertools.combinations(comp, size):
-                if not dom.is_convex(cand):
-                    continue
-                img = [f(s) for s in cand]
-                if not cod.is_convex(img):
-                    raise NotConvexImage(
-                        "convex %r has non-convex image %r" % (cand, sorted(img, key=elem_key))
-                    )
+        if kind[0] == "order":
+            raise NotFcc("component %r does not embed: order appears between %r and %r "
+                         "only downstream" % (comp, kind[1], kind[2]))
+        if kind[0] == "convex":
+            cand = _least_witness(f, comp)
+            raise NotConvexImage("convex %r has non-convex image %r"
+                                 % (cand, sorted(map(f, cand), key=elem_key)))
+        out.append((kind[0], tuple(comp)) + kind[1:])
     return out
 
 
@@ -273,31 +288,24 @@ def _quotient_of(parts, carriers):
 
 def _forced_collapse(parts, carriers):
     """Grow the partition until every leg is admissible into the quotient.
-    A component a leg sends non-injectively, or embeds without reflecting
-    order or onto a non-convex image, is flattened to one class."""
+    A component a leg sends constantly onto a point of a larger class
+    flattens that class; one it fails to embed onto a convex image
+    (_component_kind) is flattened to one class."""
     while True:
         quo, label = _quotient_of(parts, carriers)
         changed = False
         for i, pro in carriers:
             for comp in pro.components():
                 comp = sorted(comp, key=pro.rank.__getitem__)
-                imgs = [label[(i, s)] for s in comp]
-                if len(set(imgs)) == 1:
-                    cls = quo.equiv_class(imgs[0])
-                    if len(cls) > 1:
-                        members = [x for c in cls for x in c]
-                        for x in members[1:]:
-                            changed |= parts.union(members[0], x)
+                kind = _component_kind(pro, quo, comp, [label[(i, s)] for s in comp])
+                if kind[0] in ("constant", "embedding"):
                     continue
-                if (
-                    len(set(imgs)) < len(imgs)
-                    or any(quo.leq(label[(i, s1)], label[(i, s2)]) and not pro.leq(s1, s2)
-                           for s1 in comp for s2 in comp)
-                    or not quo.is_convex(set(imgs))
-                ):
-                    first = comp[0]
-                    for s in comp[1:]:
-                        changed |= parts.union((i, first), (i, s))
+                if kind[0] == "class":
+                    members = [x for c in quo.equiv_class(kind[1]) for x in c]
+                else:
+                    members = [(i, s) for s in comp]
+                for x in members[1:]:
+                    changed |= parts.union(members[0], x)
         if not changed:
             return quo, label
 
@@ -366,13 +374,7 @@ def coequalizer(f1, f2):
         quo, label = _forced_collapse(parts, carriers)
         changed = False
         for comp in quo.components():
-            glued = any(
-                not (cod.leq(a, b) and cod.leq(b, a))
-                for cls in comp
-                for (_, a) in cls
-                for (_, b) in cls
-            )
-            if glued:
+            if any(not cod.leq(a, b) for cls in comp for (_, a) in cls for (_, b) in cls):
                 members = [x for cls in comp for x in cls]
                 for x in members[1:]:
                     changed |= parts.union(members[0], x)
@@ -396,15 +398,10 @@ def _probe_factors(f1, f2, p, h, ring):
         return {"factors": False, "reason": "probe does not start at the codomain"}
     if compose(f1, h) != compose(f2, h):
         return {"factors": False, "reason": "does not commute with the pair"}
-    mapping = {}
-    for s in h.domain.elements:
-        cls = p(s)
-        if cls in mapping and mapping[cls] != h(s):
-            return {"factors": False, "reason": "not constant on an identified class"}
-        mapping[cls] = h(s)
-    u = FccMap(p.codomain, h.codomain, mapping)
-    try:
-        validate_fcc(u)
+    try:  # the map read off p's classes: a pushout mediator with p as both legs
+        u = pushout_mediator(p, p, h, h)
+    except IncompatibleOperands:
+        return {"factors": False, "reason": "not constant on an identified class"}
     except (NotOrderPreserving, NotConvexImage, NotFcc) as exc:
         return {"factors": False, "reason": type(exc).__name__}
     for x in _spanning_set(h.codomain, ring):

@@ -366,6 +366,9 @@ def enumerate_matrices(pro, ring):
 
 
 def enumerate_invertibles(pro, ring, cap=None):
+    """The units of a finite incidence ring, by testing all |R|^|pairs|
+    matrices.  ValueError once more than `cap` are found; at cap None up to
+    that many are kept."""
     out = []
     for m in enumerate_matrices(pro, ring):
         if is_invertible(m):
@@ -416,7 +419,8 @@ def mulclose(mats, cap=None):
     right-multiplied by the generators kept so far (the orbit algorithm).
     That costs about |closure| * |kept generators| products, against the
     2 |closure|^2 of multiplying new elements by everything found.  Raises
-    ValueError exactly when the closure has more than `cap` elements.
+    ValueError exactly when the closure has more than `cap` elements; at cap
+    None it can grow to all |R|^|pairs| matrices of a finite ring.
     """
     closure, actions = {}, []
     for g in mats:

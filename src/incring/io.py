@@ -225,7 +225,10 @@ def family_from_json(obj, path="$"):
             return two_block(m, n)
     if isinstance(obj, dict) and "elements" in obj:
         return proset_from_json(obj, path)
-    raise MalformedInput("unrecognized family %r" % (obj,))
+    if isinstance(obj, dict) and "family" in obj:
+        obj, path = obj["family"], path + ".family"
+    raise MalformedInput('%s must name a known family, got %s; a descriptor nests as '
+                         '{"family": {...}}' % (path, json.dumps(obj, default=str)))
 
 
 def family_to_json(fam):

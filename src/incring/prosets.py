@@ -356,7 +356,9 @@ class Proset:
         raise NotConnected("no connecting path exists")
 
     def gamma_enumerate(self, bound=None):
-        """All nonempty convex subsets with at most `bound` elements."""
+        """All nonempty convex subsets with at most `bound` elements.  Every
+        subset of that size is tested, and the answer itself can be
+        exponential: a bottom below n - 1 atoms has 2^(n-1) + n - 1."""
         if bound is None:
             bound = len(self.elements)
         out = []
@@ -417,7 +419,9 @@ class Proset:
         return (base, tuple(ups), tuple(downs))
 
     def poset_isomorphic(self, other):
-        """Order isomorphism to `other` as a dict, or None.  Works on prosets."""
+        """Order isomorphism to `other` as a dict, or None.  Works on prosets.
+        No budget: the backtracking tries up to n! assignments when many
+        points share a signature."""
         if len(self.elements) != len(other.elements):
             return None
         mine = {s: self._signature(s) for s in self.elements}
@@ -743,20 +747,11 @@ class AugmentedFamily(ProsetFamily):
                     "augmentation sets overlap at %r" % (_sorted(s & taken),)
                 )
             taken |= s
-        n = len(self.sets)
-        reach = [[i == j for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and any(
-                    base.leq(q, t) for q in self.sets[i] for t in self.sets[j]
-                ):
-                    reach[i][j] = True
-        for m in range(n):  # Floyd-Warshall over the hubs
-            for i in range(n):
-                for j in range(n):
-                    if reach[i][m] and reach[m][j]:
-                        reach[i][j] = True
-        self._reach = reach
+        hubs = range(len(self.sets))
+        self._reach = _close(hubs, [
+            (i, j) for i in hubs for j in hubs
+            if i != j and any(base.leq(q, t) for q in self.sets[i] for t in self.sets[j])
+        ])
 
     def contains(self, s):
         return self.base.contains(s)
@@ -764,12 +759,12 @@ class AugmentedFamily(ProsetFamily):
     def _up_hubs(self, s):
         n = len(self.sets)
         entry = [any(self.base.leq(s, t) for t in self.sets[i]) for i in range(n)]
-        return [j for j in range(n) if any(entry[i] and self._reach[i][j] for i in range(n))]
+        return [j for j in range(n) if any(entry[i] and j in self._reach[i] for i in range(n))]
 
     def _down_hubs(self, s):
         n = len(self.sets)
         exit_ = [any(self.base.leq(q, s) for q in self.sets[j]) for j in range(n)]
-        return [i for i in range(n) if any(self._reach[i][j] and exit_[j] for j in range(n))]
+        return [i for i in range(n) if any(j in self._reach[i] and exit_[j] for j in range(n))]
 
     def leq(self, s1, s2):
         if self.base.leq(s1, s2):

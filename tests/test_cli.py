@@ -157,7 +157,7 @@ def test_missing_option_is_exit_1_without_traceback(capsys, argv, flag):
     (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": "X"}', "--b", "{}"],
      "unrecognized ring 'X'"),
     (["proset", "window", "--family", '{"family": "Q"}', "--k", "2"],
-     "unrecognized family {'family': 'Q'}"),
+     '$.family must name a known family, got "Q"; a descriptor nests as {"family": {...}}'),
     (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": {"mod": [1]}}', "--b", "{}"],
      "ring 'mod' must be an integer >= 2, got [1]"),
     (["algebra", "mul", "--a", '{"proset": {"elements": [0]}, "ring": {"mod": 1}}', "--b", "{}"],

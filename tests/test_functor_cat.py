@@ -1,5 +1,6 @@
 """Admissible poset maps, the induced ring homomorphisms, and colimits."""
 
+import ast
 import itertools
 import random
 from collections import Counter
@@ -7,11 +8,13 @@ from collections import Counter
 import pytest
 
 from incring.errors import (
+    MalformedInput,
     NotComposable,
     NotConvexImage,
     NotFcc,
     NotOrderPreserving,
     NotParallel,
+    UnknownElement,
 )
 from incring import functor_cat
 from incring.functor_cat import (
@@ -37,6 +40,7 @@ from incring.samples import (
     irreducible_prosets,
     random_fcc_map,
     random_matrix,
+    random_poset,
     random_proset,
 )
 
@@ -186,6 +190,52 @@ def test_validate_names_the_oracle_witness(f):
     assert got == outcome(validate_fcc_all_subsets, f)
 
 
+def test_validate_matches_the_oracle_on_larger_failing_maps():
+    """Failing maps out of 5-7 point domains: random subsets of a random
+    codomain, relabelled at random and carried back in, so a component's
+    image need not be convex and its least witness can be any size; a third
+    of them then send one point elsewhere."""
+    rng = random.Random(5)
+    seen, sizes = Counter(), Counter()
+    while sum(seen.values()) < 150:
+        cod = (random_poset if rng.random() < 0.5 else random_proset)(rng.randrange(6, 10), rng)
+        n = rng.randrange(5, min(7, len(cod)) + 1)
+        image = dict(enumerate(rng.sample(cod.elements, n)))
+        dom = Proset(range(n), [(i, j) for i in image for j in image
+                                if cod.leq(image[i], image[j])])
+        if rng.random() < 1 / 3:
+            image[rng.randrange(n)] = rng.choice(cod.elements)
+        f = FccMap(dom, cod, image)
+        got = outcome(validate_fcc, f)
+        if isinstance(got, list):
+            continue
+        assert got == outcome(validate_fcc_all_subsets, f)
+        seen[got[0].__name__] += 1
+        if got[1].startswith("convex ("):
+            sizes[len(ast.literal_eval(got[1][len("convex "):got[1].index(")") + 1]))] += 1
+    assert seen["NotConvexImage"] >= 75 and seen["NotFcc"] and seen["NotOrderPreserving"]
+    assert len(sizes) >= 5
+
+
+def test_validate_names_the_whole_chain_of_a_long_chain():
+    """The identity of the chain 0 < ... < 22 into the chain plus a point z
+    with 0 <= z <= 22: only the whole chain has a non-convex image, so a
+    search of the subsets, smallest first, would try nearly all 2^23."""
+    chain = Proset(range(23), [(i, i + 1) for i in range(22)])
+    plus = Proset(list(range(23)) + ["z"], chain.strict_pairs() + ((0, "z"), ("z", 22)))
+    with pytest.raises(NotConvexImage) as err:
+        validate_fcc(FccMap(chain, plus, {i: i for i in range(23)}))
+    whole = list(range(23))
+    assert str(err.value) == "convex %r has non-convex image %r" % (tuple(whole), whole)
+
+
+def test_map_construction_errors_are_typed():
+    with pytest.raises(MalformedInput, match="no image for 1"):
+        FccMap(CHAIN2, CHAIN3, {0: "a"})
+    with pytest.raises(UnknownElement, match="image 'q' is not in the codomain"):
+        FccMap(CHAIN2, CHAIN3, {0: "a", 1: "q"})
+
+
 def test_compose_and_identity():
     f = FccMap(CHAIN2, CHAIN3, {0: "a", 1: "b"})
     g = identity_map(CHAIN3)
@@ -295,6 +345,16 @@ def test_pushout_diamond():
     assert quo.leq(bottom, top)
     diamond = Proset(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert quo.poset_isomorphic(diamond) is not None
+
+
+def test_pushout_flattens_the_class_a_constant_lands_in():
+    """A point glued to one point of a two-point class: the leg out of the
+    point is constant at a point whose singleton is not convex, so the class
+    is flattened and the pushout is one point."""
+    apex, point = Proset([0]), Proset(["c"])
+    cycle = Proset(["a", "b"], [("a", "b"), ("b", "a")])
+    quo, q1, q2 = pushout(FccMap(apex, cycle, {0: "a"}), FccMap(apex, point, {0: "c"}))
+    assert len(quo) == 1 and q1("b") == q2("c")
 
 
 def test_pushout_of_empty_is_coproduct():

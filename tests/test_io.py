@@ -157,6 +157,13 @@ def test_file_path_indirection(tmp_path):
      "$.off_diagonal[0][1] must be an integer or a string label, got 2.0"),
     (family_from_json, {"augment": {"base": {"family": "Z"}, "sets": [[0, -0.5]]}},
      "$.augment.sets[0][1] must be an integer or a string label, got -0.5"),
+    # an unknown family names the value it could not read, at its path
+    (lazy_from_json, {"family": {"nstar_div": True}, "ring": {"gf": 7}, "oracle": "upper_ones"},
+     '$.family must name a known family, got {"nstar_div": true}; a descriptor nests as '
+     '{"family": {...}}'),
+    (family_from_json, {"augment": {"base": {"family": ["Z"]}, "sets": [[0]]}},
+     '$.augment.base.family must name a known family, got ["Z"]; a descriptor nests as '
+     '{"family": {...}}'),
 ])
 def test_malformed_input_names_its_path(parse, obj, message):
     with pytest.raises(MalformedInput) as err:

@@ -294,6 +294,20 @@ def test_augmented_family():
     assert set(win) >= {-2, -1, 0, 1, 2, 3}
 
 
+def test_augmented_family_closes_chained_hubs():
+    """Four sets, each below the next only: the family's order runs through
+    all of them, as the finite augmentation of a window around them does."""
+    sets = [frozenset(s) for s in ([1, 2], [3, 6], [7, 10], [11, 14])]
+    fam = AugmentedFamily(ZigFamily(), sets)
+    win = range(-2, 18)
+    finite = ZigFamily().restrict(win).augment(sets)
+    assert fam.leq(1, 14) and not fam.leq(14, 1)
+    for a in win:
+        for b in win:
+            assert fam.leq(a, b) == finite.leq(a, b)
+            assert set(fam.interval(a, b)) == set(finite.interval(a, b))
+
+
 def test_custom_family_budget():
     fam = CustomFamily(
         leq=lambda a, b: a <= b,
