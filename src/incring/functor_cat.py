@@ -2,14 +2,16 @@
 
 A map is admissible when it preserves order and, on each connected component
 of its domain, is either constant or an embedding onto a convex subproset.
-Admissible maps pull matrices back contravariantly.  Pushouts and
-coequalizers exist but may collapse components: starting from the forced
-identifications, any component a leg fails to treat admissibly is flattened
-to a point, repeated to a fixed point.  That is the least quotient making
-both legs admissible, and the mediating-map property is exact for it.
+Admissible maps pull matrices back contravariantly, entries kept as read.
+Pushouts and coequalizers exist but may collapse components: starting from
+the forced identifications, any component a leg fails to treat admissibly is
+flattened to a point, repeated to a fixed point.  That is the least quotient
+making both legs admissible, and the mediating-map property is exact for it.
 Both validate_fcc and the collapse class each component by one routine,
-_component_kind; an embedded component takes one convexity test, of its
-whole image.
+_component_kind, so the collapse's last round certifies the legs it returns;
+an embedded component takes one convexity test, of its whole image.  A
+decomposition tree is reassembled by carrying each piece's isomorphism
+through the pushout legs, not by searching for one.
 """
 
 from .errors import (
@@ -24,7 +26,7 @@ from .errors import (
     NotParallel,
     UnknownElement,
 )
-from .matrices import IncMatrix, identity, scalar_diag, unit
+from .matrices import IncMatrix, _raw, identity, scalar_diag, unit
 from .prosets import Proset, _close, _flood, elem_key
 from .rings import PrimeField
 
@@ -58,6 +60,9 @@ class FccMap:
                 raise MalformedInput("no image for %r" % (s,))
             if self.mapping[s] not in codomain:
                 raise UnknownElement("image %r is not in the codomain" % (self.mapping[s],))
+        if len(self.mapping) != len(domain):
+            stray = next(k for k in self.mapping if k not in domain)
+            raise UnknownElement("%r is mapped but is not in the domain" % (stray,))
 
     def __call__(self, s):
         return self.mapping[s]
@@ -166,18 +171,17 @@ def induced_hom(f, matrix):
     """Pull a matrix over the codomain back along an admissible map.
 
     The (t1, t2) entry is the (f(t1), f(t2)) entry upstream, except that
-    distinct points of a collapsed component only receive the diagonal."""
+    distinct points of a collapsed component only receive the diagonal.
+    Entries are kept as read: canonical upstream, placed on the domain's order."""
     if matrix.pro != f.codomain:
         raise IncompatibleOperands("matrix lives over a different proset")
+    image, read = f.mapping, matrix.entries.get
     entries = {}
-    dom = f.domain
-    for (t1, t2) in dom.pairs():
-        if t1 != t2 and f(t1) == f(t2):
-            continue
-        v = matrix.entry(f(t1), f(t2))
-        if v != matrix.ring.zero:
+    for (t1, t2) in f.domain.pairs():
+        x, y = image[t1], image[t2]
+        if (x != y or t1 == t2) and (v := read((x, y))) is not None:
             entries[(t1, t2)] = v
-    return IncMatrix(dom, matrix.ring, entries)
+    return _raw(f.domain, matrix.ring, entries)
 
 
 def surjectivity_report(f, ring):
@@ -290,7 +294,8 @@ def _forced_collapse(parts, carriers):
     """Grow the partition until every leg is admissible into the quotient.
     A component a leg sends constantly onto a point of a larger class
     flattens that class; one it fails to embed onto a convex image
-    (_component_kind) is flattened to one class."""
+    (_component_kind) is flattened to one class.  Either joins two classes,
+    so the round that returns found every component admissible."""
     while True:
         quo, label = _quotient_of(parts, carriers)
         changed = False
@@ -316,7 +321,8 @@ def pushout(f, g):
     Returns (object, leg1, leg2).  Seeds identify f(s) with g(s), the forced
     collapse makes both legs admissible, and the result is least: any
     commuting admissible pair is already constant on whatever gets flattened,
-    so the mediating map always exists (pushout_mediator recovers it)."""
+    so the mediating map always exists (pushout_mediator recovers it).  The
+    collapse's last round certifies the legs, which preserve the closed order."""
     if f.domain != g.domain:
         raise IncompatibleOperands("legs of the span start at different prosets")
     carriers = [(1, f.codomain), (2, g.codomain)]
@@ -327,8 +333,6 @@ def pushout(f, g):
     quo, label = _forced_collapse(parts, carriers)
     q1 = FccMap(f.codomain, quo, {s: label[(1, s)] for s in f.codomain.elements})
     q2 = FccMap(g.codomain, quo, {s: label[(2, s)] for s in g.codomain.elements})
-    validate_fcc(q1)
-    validate_fcc(q2)
     return quo, q1, q2
 
 
@@ -362,7 +366,8 @@ def coequalizer(f1, f2):
     transitivity that no order pair of the codomain maps onto, and the basis
     unit at such a pair would pull back to zero.  After the pass every class
     sits inside a single equivalence class, so any chain witnessing an order
-    pair of the quotient splices into an order pair of the codomain."""
+    pair of the quotient splices into an order pair of the codomain.  The
+    leg is certified as in pushout, the glued pass after it changing nothing."""
     if f1.domain != f2.domain or f1.codomain != f2.codomain:
         raise NotParallel("the maps are not a parallel pair")
     cod = f1.codomain
@@ -381,7 +386,6 @@ def coequalizer(f1, f2):
         if not changed:
             break
     q = FccMap(cod, quo, {s: label[(1, s)] for s in cod.elements})
-    validate_fcc(q)
     return quo, q
 
 
@@ -505,8 +509,7 @@ def generation_decompose(pro):
         except (NotOrderPreserving, NotConvexImage, NotFcc):
             continue
         quo, q1, q2 = pushout(fl, fr)
-        iso = _pushout_matches(pro, quo, q1, q2, left, right)
-        if iso is None:
+        if _glued_iso(pro, quo, left, right, q1, q2) is None:
             continue
         return {
             "leaf": False,
@@ -518,19 +521,17 @@ def generation_decompose(pro):
     raise NoValidCutPair("no class pair splits this proset")
 
 
-def _pushout_matches(pro, quo, q1, q2, left, right):
-    """The reassembled pushout matches when sending each original element to
-    its class is an isomorphism."""
-    if len(quo.elements) != len(pro.elements):
+def _glued_iso(pro, quo, left, right, on_left, on_right):
+    """The map sending s in `left` to on_left(s) and s in `right` to
+    on_right(s), when the two agree on the overlap and it is an order
+    isomorphism from pro onto quo, in O(|pro|^2) leq tests; else None."""
+    if len(quo) != len(pro):
         return None
-    mapping = {}
-    for s in left:
-        mapping[s] = q1(s)
+    mapping = {s: on_left(s) for s in left}
     for s in right:
-        if s in mapping and mapping[s] != q2(s):
+        if mapping.setdefault(s, on_right(s)) != on_right(s):
             return None
-        mapping[s] = q2(s)
-    if len(set(mapping.values())) != len(pro.elements):
+    if len(set(mapping.values())) != len(pro):
         return None
     for s1 in pro.elements:
         for s2 in pro.elements:
@@ -542,20 +543,26 @@ def _pushout_matches(pro, quo, q1, q2, left, right):
 def reassemble(tree):
     """Rebuild the proset of a decomposition tree from its leaves by the same
     pushouts, to confirm nothing was lost.  The rebuilt pieces carry their own
-    labels, so the overlap is carried over through an isomorphism; gluing an
-    isomorphic span gives an isomorphic pushout."""
-    if tree["leaf"]:
-        return tree["proset"]
+    labels and an isomorphism from the tree's piece: a leaf the identity, a
+    node s -> q1(iso_l[s]) on its left piece and q2(iso_r[s]) on its right.
+    That carried map, checked at every node, is the certificate."""
+    return _rebuild(tree)[0]
+
+
+def _rebuild(tree):
     pro = tree["proset"]
-    mid = _cut_pieces(pro, *tree["cut"])[2]
-    pl = reassemble(tree["left"])
-    pr = reassemble(tree["right"])
+    if tree["leaf"]:
+        return pro, {s: s for s in pro.elements}
+    left, right, mid = _cut_pieces(pro, *tree["cut"])
+    pl, iso_l = _rebuild(tree["left"])
+    pr, iso_r = _rebuild(tree["right"])
+    if iso_l.keys() != set(left) or iso_r.keys() != set(right):
+        raise NoValidCutPair("a piece does not match its cut")
     pm = pro.restrict(mid)
-    iso_l = tree["left"]["proset"].poset_isomorphic(pl)
-    iso_r = tree["right"]["proset"].poset_isomorphic(pr)
-    if iso_l is None or iso_r is None:
-        raise NoValidCutPair("a rebuilt piece lost its shape")
     fl = FccMap(pm, pl, {s: iso_l[s] for s in mid})
     fr = FccMap(pm, pr, {s: iso_r[s] for s in mid})
     quo, q1, q2 = pushout(fl, fr)
-    return quo
+    iso = _glued_iso(pro, quo, left, right, lambda s: q1(iso_l[s]), lambda s: q2(iso_r[s]))
+    if iso is None:
+        raise NoValidCutPair("a rebuilt piece lost its shape")
+    return quo, iso

@@ -144,7 +144,7 @@ def _close(elements, relations):
     adj = {s: set() for s in elements}
     for a, b in relations:
         if a not in adj or b not in adj:
-            raise ValueError("relation (%r, %r) uses unknown elements" % (a, b))
+            raise UnknownElement("relation (%r, %r) uses unknown elements" % (a, b))
         adj[a].add(b)
     up = {}
     # forward search from every element
@@ -376,7 +376,7 @@ class Proset:
         taken = set()
         for s in sets:
             if not s <= set(self.elements):
-                raise ValueError("augmentation set %r not within proset" % (_sorted(s),))
+                raise UnknownElement("augmentation set %r not within proset" % (_sorted(s),))
             if s & taken:
                 raise OverlappingAugmentation(
                     "augmentation sets overlap at %r" % (_sorted(s & taken),)

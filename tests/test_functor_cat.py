@@ -9,6 +9,7 @@ import pytest
 
 from incring.errors import (
     MalformedInput,
+    NoValidCutPair,
     NotComposable,
     NotConvexImage,
     NotFcc,
@@ -32,10 +33,11 @@ from incring.functor_cat import (
     reassemble,
     validate_fcc,
 )
-from incring.matrices import identity, unit
+from incring.matrices import IncMatrix, identity, unit
 from incring.prosets import Proset, elem_key, two_block
-from incring.rings import PrimeField, ZZ
+from incring.rings import QQ, ModRing, PrimeField, ZZ
 from incring.samples import (
+    enumerate_posets,
     enumerate_prosets,
     irreducible_prosets,
     random_fcc_map,
@@ -234,6 +236,9 @@ def test_map_construction_errors_are_typed():
         FccMap(CHAIN2, CHAIN3, {0: "a"})
     with pytest.raises(UnknownElement, match="image 'q' is not in the codomain"):
         FccMap(CHAIN2, CHAIN3, {0: "a", 1: "q"})
+    # a stray key would count as an image the map takes: this map hits a and b only
+    with pytest.raises(UnknownElement, match="9 is mapped but is not in the domain"):
+        FccMap(CHAIN2, CHAIN3, {0: "a", 1: "b", 9: "c"})
 
 
 def test_compose_and_identity():
@@ -252,6 +257,40 @@ def test_induced_hom_is_contravariant_restriction():
     assert pulled.entry(0, 1) == 1
     assert pulled.entry(0, 0) == 0
     assert pulled.pro == CHAIN2
+
+
+def induced_hom_reference(f, matrix):
+    """Pull back through the validating IncMatrix constructor: the reference
+    for induced_hom, which keeps the entries it reads as they are."""
+    entries = {}
+    for (t1, t2) in f.domain.pairs():
+        if t1 != t2 and f(t1) == f(t2):
+            continue
+        v = matrix.entry(f(t1), f(t2))
+        if v != matrix.ring.zero:
+            entries[(t1, t2)] = v
+    return IncMatrix(f.domain, matrix.ring, entries)
+
+
+def test_induced_hom_matches_the_validating_reference():
+    rng = random.Random(113)
+    collapsed = 0
+    for ring in (PrimeField(2), PrimeField(5), ModRing(6), QQ):
+        done = 0
+        while done < 40:
+            dom = random_proset(rng.randrange(2, 6), rng)
+            cod = random_proset(rng.randrange(1, 6), rng)
+            try:
+                f = random_fcc_map(dom, cod, rng)
+            except ValueError:
+                continue
+            done += 1
+            collapsed += any(len(comp) > 1 and len({f(s) for s in comp}) == 1
+                             for comp in dom.components())
+            for m in [identity(cod, ring)] + [random_matrix(cod, ring, rng) for _ in range(5)]:
+                got, want = induced_hom(f, m), induced_hom_reference(f, m)
+                assert got == want and repr(got) == repr(want)
+    assert collapsed >= 40
 
 
 def draw_fcc(rng, nmax=6):
@@ -318,6 +357,75 @@ def test_surjective_maps_induce_injective_homs():
 
 
 # -- colimits ------------------------------------------------------------------
+
+
+def draw_carrier(n, rng):
+    return (random_proset if rng.random() < 0.5 else random_poset)(n, rng)
+
+
+def seeded_spans_and_pairs(seed, count):
+    """Spans and parallel pairs on posets and prosets of up to 5 points,
+    redrawn when some component has no admissible image."""
+    rng = random.Random(seed)
+    spans, pairs = [], []
+    while len(spans) < count:
+        apex = draw_carrier(rng.randrange(1, 6), rng)
+        left, right = (draw_carrier(rng.randrange(1, 6), rng) for _ in range(2))
+        try:
+            spans.append((random_fcc_map(apex, left, rng), random_fcc_map(apex, right, rng)))
+            pairs.append((random_fcc_map(apex, left, rng), random_fcc_map(apex, left, rng)))
+        except ValueError:
+            continue
+    return spans, pairs
+
+
+def test_colimit_legs_pass_validate_fcc():
+    """pushout and coequalizer return legs the collapse certified without
+    validating them again; the full check still passes on every one.  In
+    the seeded draws another union always fixes what flattening a class
+    would, so one span that needs the class flattened is added."""
+    spans, pairs = seeded_spans_and_pairs(59, 400)
+    apex, cycle = Proset([0]), Proset(["a", "b"], [("a", "b"), ("b", "a")])
+    spans.append((FccMap(apex, cycle, {0: "a"}), FccMap(apex, Proset(["c"]), {0: "c"})))
+    merged = 0
+    for f, g in spans:
+        quo, q1, q2 = pushout(f, g)
+        for q in (q1, q2):
+            validate_fcc(q)
+            merged += len(q.image()) < len(q.domain)
+    for f1, f2 in pairs:
+        quo, q = coequalizer(f1, f2)
+        validate_fcc(q)
+        merged += len(q.image()) < len(q.domain)
+    assert merged >= 300
+
+
+def test_colimits_and_reassembly_certify_once(monkeypatch):
+    """pushout and coequalizer call no validate_fcc, reassemble no
+    poset_isomorphic: the collapse and the carried isomorphism certify."""
+    spans, pairs = seeded_spans_and_pairs(61, 30)
+    trees = [generation_decompose(pro) for n in range(3, 6) for pro in irreducible_prosets(n)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(functor_cat, "validate_fcc", counted("validate_fcc", validate_fcc))
+    monkeypatch.setattr(Proset, "poset_isomorphic",
+                        counted("poset_isomorphic", Proset.poset_isomorphic))
+    coproduct_mediator(coproduct([CHAIN2])[1], [identity_map(CHAIN2)])
+    assert calls == {"validate_fcc": 1}  # the counter sees module calls
+    calls.clear()
+    for f, g in spans:
+        pushout(f, g)
+    for f1, f2 in pairs:
+        coequalizer(f1, f2)
+    for tree in trees:
+        reassemble(tree)
+    assert not calls
 
 
 def test_coproduct():
@@ -473,6 +581,124 @@ def test_generation_diamond():
     tree = generation_decompose(diamond)
     rebuilt = reassemble(tree)
     assert rebuilt.poset_isomorphic(diamond) is not None
+
+
+def subtrees(tree):
+    if tree["leaf"]:
+        return [tree]
+    return [tree] + subtrees(tree["left"]) + subtrees(tree["right"])
+
+
+def is_order_isomorphism(pro, quo, iso):
+    return (sorted(iso, key=elem_key) == list(pro.elements)
+            and sorted(iso.values(), key=elem_key) == list(quo.elements)
+            and all(quo.leq(iso[a], iso[b]) == pro.leq(a, b)
+                    for a in pro.elements for b in pro.elements))
+
+
+def four_class_types():
+    """Every irreducible 5-point proset with exactly four classes, up to
+    isomorphism: a four-point poset with one point doubled."""
+    types = []
+    for base in enumerate_posets(4):
+        for c in base.elements:
+            els = [(x, 0) for x in base.elements] + [(c, 1)]
+            pro = Proset(els, [(s, t) for s in els for t in els if base.leq(s[0], t[0])])
+            if pro.is_irreducible() and not any(pro.poset_isomorphic(t) for t in types):
+                types.append(pro)
+    return types
+
+
+def split_trees():
+    """The decomposition tree of every irreducible proset of at most 5 points
+    that is not a leaf, then of the 31 four-class types."""
+    types = four_class_types()
+    assert len(types) == 31
+    pros = [pro for n in range(1, 6) for pro in irreducible_prosets(n)] + types
+    return [tree for tree in map(generation_decompose, pros) if not tree["leaf"]]
+
+
+def test_reassemble_carries_an_order_isomorphism():
+    trees = split_trees()
+    assert len(trees) == 109 + 31
+    for tree in trees:
+        rebuilt = reassemble(tree)
+        assert rebuilt.poset_isomorphic(tree["proset"]) is not None
+        for node in subtrees(tree):
+            quo, iso = functor_cat._rebuild(node)
+            assert is_order_isomorphism(node["proset"], quo, iso)
+            if node["leaf"]:
+                assert quo is node["proset"] and all(iso[s] == s for s in iso)
+        assert functor_cat._rebuild(tree)[0].pairs() == rebuilt.pairs()
+
+
+def key_sorted(x):
+    """A label with every frozenset listed in elem_key order."""
+    if isinstance(x, frozenset):
+        return sorted((key_sorted(m) for m in x), key=elem_key)
+    if isinstance(x, tuple):
+        return tuple(key_sorted(m) for m in x)
+    return x
+
+
+def test_reassemble_carries_the_diamond_to_fixed_labels():
+    """The labels carried through the pushout legs depend on the tree alone,
+    not on hash order: the diamond's are these under any hash seed."""
+    diamond = Proset(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
+    quo, iso = functor_cat._rebuild(generation_decompose(diamond))
+    assert {s: key_sorted(v) for s, v in iso.items()} == {
+        0: [(1, [(1, 0), (2, 0)])],
+        1: [(1, [(1, 1)]), (2, [(1, 1)])],
+        2: [(1, [(2, 2)]), (2, [(2, 2)])],
+        3: [(2, [(1, 3), (2, 3)])],
+    }
+
+
+def tampered(tree, path, change):
+    """A copy of the tree with change(node) in place of the node at path, a
+    tuple of "left" and "right" steps."""
+    if not path:
+        return change(tree)
+    copy = dict(tree)
+    copy[path[0]] = tampered(tree[path[0]], path[1:], change)
+    return copy
+
+
+def leaf_paths(tree, path=()):
+    if tree["leaf"]:
+        return [path]
+    return leaf_paths(tree["left"], path + ("left",)) + leaf_paths(tree["right"], path + ("right",))
+
+
+def node_at(tree, path):
+    for step in path:
+        tree = tree[step]
+    return tree
+
+
+def test_reassemble_refuses_a_tampered_tree():
+    """A two-class leaf coarsened to one class, a leaf on other labels and a
+    cut read backwards each raise NoValidCutPair."""
+    def coarsened(leaf):
+        els = leaf["proset"].elements
+        return dict(leaf, proset=Proset(els, [(a, b) for a in els for b in els]))
+
+    def relabelled(leaf):
+        return dict(leaf, proset=Proset([("x", s) for s in leaf["proset"].elements]))
+
+    coarse = 0
+    for tree in split_trees():
+        for path in leaf_paths(tree):
+            changes = [relabelled]
+            if len(node_at(tree, path)["proset"].classes()) == 2:
+                changes.append(coarsened)
+                coarse += 1
+            for change in changes:
+                with pytest.raises(NoValidCutPair):
+                    reassemble(tampered(tree, path, change))
+        with pytest.raises(NoValidCutPair):
+            reassemble(dict(tree, cut=tree["cut"][::-1]))
+    assert coarse >= 140
 
 
 def test_generation_rejects_reducible():

@@ -363,6 +363,13 @@ def test_restrict_to_unknown_elements_is_typed():
         Proset([0, 1], [(0, 1)]).restrict([0, "b", "a"])
 
 
+def test_relations_and_augmentations_on_unknown_elements_are_typed():
+    with pytest.raises(UnknownElement, match=r"relation \(0, 1\) uses unknown elements"):
+        Proset([0], [(0, 1)])
+    with pytest.raises(UnknownElement, match=r"augmentation set \(5,\) not within proset"):
+        Proset([0, 1]).augment([[5]])
+
+
 # -- enumeration ----------------------------------------------------------------
 
 
