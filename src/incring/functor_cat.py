@@ -501,14 +501,13 @@ def generation_decompose(pro):
         if not (_connected(pro, left) and _connected(pro, right)):
             continue
         pl, pr, pm = pro.restrict(left), pro.restrict(right), pro.restrict(mid)
-        fl = FccMap(pm, pl, {s: s for s in mid})
-        fr = FccMap(pm, pr, {s: s for s in mid})
-        try:
-            validate_fcc(fl)
-            validate_fcc(fr)
-        except (NotOrderPreserving, NotConvexImage, NotFcc):
+        # an inclusion of restrictions preserves and reflects order, so it is
+        # admissible exactly when each overlap component is convex in both
+        # pieces; a one-point {v} is convex exactly when v's class is {v}
+        if not all(pl.is_convex(c) and pr.is_convex(c) for c in pm.components()):
             continue
-        quo, q1, q2 = pushout(fl, fr)
+        inclusion = {s: s for s in mid}
+        quo, q1, q2 = pushout(FccMap(pm, pl, inclusion), FccMap(pm, pr, inclusion))
         if _glued_iso(pro, quo, left, right, q1, q2) is None:
             continue
         return {

@@ -5,8 +5,9 @@ square block of an equivalence class) has unit determinant.  `invert` writes
 A = D(1 - N), with D the class-block diagonal and N nilpotent, inverts D block
 by block and sums the series of N by repeated squaring on the `IncMatrix.mul`
 kernel.  An n-point class block's determinant and adjugate come from one
-division-free Berkowitz characteristic polynomial and Cayley-Hamilton in
-O(n^4) ring operations, so Z and Z/n work as well as fields.
+fraction-free Gauss-Jordan elimination (Bareiss) on the block lifted to
+ints, O(n^3) integer operations whose divisions are exact, pivoting over
+the whole remaining block, so Z and Z/n work as well as fields.
 
 Closures are breadth-first orbits on one routine, `_orbit`: `mulclose`
 right-multiplies new elements by the kept generators only, about
@@ -17,7 +18,6 @@ of its factors.
 
 import itertools
 from collections import namedtuple
-from functools import reduce
 
 from .errors import HypothesisViolation, MalformedInput, NotInvertible
 from .matrices import IncMatrix, _raw, identity, unit
@@ -66,32 +66,10 @@ def _mat_mul(ring, x, y):
     return out
 
 
-def _charpoly(ring, m):
-    """[p0, ..., pn] with det(m - xI) = p0 x^n + ... + pn, by Berkowitz's
-    division-free recursion on det(xI - m): step k multiplies the vector of
-    the leading k-block A by the Toeplitz column 1, -a_kk, -R C, -R A C, ...,
-    -R A^(k-1) C, where R and C are the row and column that extend A."""
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    poly = [ring.one]
-    for k in range(len(m)):
-        lead, row, col = [r[:k] for r in m[:k]], m[k][:k], [r[k] for r in m[:k]]
-        t = [neg(m[k][k])]
-        for step in range(k):
-            if step:
-                col = [reduce(add, map(mul, r, col)) for r in lead]
-            t.append(neg(reduce(add, map(mul, row, col))))
-        new = poly + [ring.zero]
-        for j, p in enumerate(poly):
-            for i, ti in enumerate(t[:k + 1 - j], j + 1):
-                new[i] = add(new[i], mul(ti, p) if j else ti)
-        poly = new
-    return poly if len(m) % 2 == 0 else [neg(c) for c in poly]
-
-
 def det_block(ring, m):
-    """Determinant of a dense n x n block: the closed form up to n == 3, else
-    the constant term of its Berkowitz characteristic polynomial,
-    division-free in O(n^4) ring operations."""
+    """Determinant of a dense n x n block: the closed form up to n == 3,
+    where it is the faster route, else `_det_adj`'s fraction-free
+    elimination, O(n^3) integer operations."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -105,21 +83,61 @@ def det_block(ring, m):
             sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
             mul(c, sub(mul(d, h), mul(e, g))),
         )
-    return _charpoly(ring, m)[-1]
+    return _det_adj(ring, m)[0]
 
 
 def _det_adj(ring, m):
-    """Determinant and adjugate from one characteristic polynomial: by
-    Cayley-Hamilton adj m = -(p0 m^(n-1) + ... + p(n-1) I), by Horner's rule."""
+    """Determinant and adjugate of any square block, singular ones included,
+    by Bareiss's fraction-free Gauss-Jordan on the lifted integer block.
+
+    The block is lifted to ints over one scale (`CoeffRing.lift`) and [A | I]
+    is reduced in place, the eliminated columns of A giving room to those of
+    I: step k takes row_i <- (p_k row_i - a_ik row_k) / p_(k-1) for i != k,
+    and the division is exact by Sylvester's identity.  The pivot is the
+    diagonal entry when it is nonzero, else the first nonzero entry of the
+    remaining block in row order, swapped onto the diagonal.  If that block
+    vanishes before the last step the rank is at most n - 2 and the
+    adjugate is 0; a zero last pivot is carried through, which keeps the
+    adjugate of a rank n - 1 block exact.  O(n^3) integer operations.  Z,
+    Z/n and Q take the same route, since pivots need only be nonzero ints,
+    not units (over Z/6 a unit block can have no unit entry to pivot on),
+    and only the determinant (at scale^n) and the adjugate (at
+    scale^(n-1)) are lowered back into the ring."""
     n = len(m)
-    poly = _charpoly(ring, m)
-    start = m if n % 2 else [[ring.neg(a) for a in row] for row in m]  # -p0 m, as p0 = (-1)^n
-    adj = [[ring.sub(a, poly[1]) if i == j else a for j, a in enumerate(row)] for i, row in enumerate(start)]
-    for c in poly[2:n]:
-        adj = _mat_mul(ring, adj, m)
-        for i in range(n):
-            adj[i][i] = ring.sub(adj[i][i], c)
-    return poly[n], adj
+    ints, scale = ring.lift(dict(enumerate([a for row in m for a in row])))
+    w = [[ints[i] for i in range(r, r + n)] for r in range(0, n * n, n)]
+    swaps, sign, prev = [], 1, 1
+    for k in range(n):
+        if not w[k][k]:
+            hit = next(((i, j) for i in range(k, n) for j in range(k, n) if w[i][j]), None)
+            if hit is None and k < n - 1:
+                zero = ring.zero
+                return zero, [[zero] * n for _ in range(n)]
+            if hit is not None:
+                i, j = hit
+                w[i], w[k] = w[k], w[i]
+                for r in w:
+                    r[j], r[k] = r[k], r[j]
+                swaps.append((i, j, k))
+                sign *= (-1) ** ((i != k) + (j != k))
+        wk = w[k]
+        p = wk[k]
+        for i, wi in enumerate(w):
+            if i != k:
+                a = wi[k]
+                w[i] = [(p * x - a * y) // prev for x, y in zip(wi, wk)]
+                w[i][k] = -a
+        wk[k] = prev
+        prev = p
+    # w is now adj(PAQ) for the swaps P and Q: a row swap of A is a column
+    # swap of its adjugate and the other way round, undone last one first
+    for i, j, k in reversed(swaps):
+        w[j], w[k] = w[k], w[j]
+        for r in w:
+            r[i], r[k] = r[k], r[i]
+    det = ring.lower_all((sign * prev,), scale ** n)[0]
+    scale **= n - 1
+    return det, [list(ring.lower_all([sign * x for x in r], scale)) for r in w]
 
 
 def _block_inverse(ring, m):
@@ -159,8 +177,9 @@ def invert(matrix):
     A = D(1 - N), where D is the class-block diagonal of A and
     N = -D^-1 (A - D) vanishes on the class-diagonal blocks, so N is
     nilpotent.  Hence A^-1 = (1 + N)(1 + N^2)(1 + N^4)... D^-1: D's blocks
-    invert by Cayley-Hamilton, and the product takes one squaring and one
-    product per doubling of the longest chain of classes.  NotInvertible
+    invert as adjugate over determinant (`_det_adj`, O(n^3) exact integer
+    operations per n-point block), and the product takes one squaring and
+    one product per doubling of the longest chain of classes.  NotInvertible
     names the first class, in `classes()` order, whose block is singular.
     """
     pro, ring = matrix.pro, matrix.ring

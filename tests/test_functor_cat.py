@@ -701,6 +701,82 @@ def test_reassemble_refuses_a_tampered_tree():
     assert coarse >= 140
 
 
+def decompose_by_validate(pro, cuts):
+    """Reference: generation_decompose as it was when each cut's two
+    inclusions went through validate_fcc.  Every connected cut it tries is
+    also put to the convexity test that replaced those calls, and the two
+    verdicts are appended to `cuts`."""
+    classes = pro.classes()
+    if len(classes) <= 2:
+        sizes = sorted(len(c) for c in classes)
+        return {"leaf": True, "proset": pro, "classes": len(classes), "sizes": sizes}
+    for a, b in functor_cat._class_pairs(pro):
+        left, right, mid = functor_cat._cut_pieces(pro, a, b)
+        if not left or not right or not mid:
+            continue
+        if not (functor_cat._connected(pro, left) and functor_cat._connected(pro, right)):
+            continue
+        pl, pr, pm = pro.restrict(left), pro.restrict(right), pro.restrict(mid)
+        fl = FccMap(pm, pl, {s: s for s in mid})
+        fr = FccMap(pm, pr, {s: s for s in mid})
+        try:
+            validate_fcc(fl)
+            validate_fcc(fr)
+            admissible = True
+        except (NotOrderPreserving, NotConvexImage, NotFcc):
+            admissible = False
+        convex = all(pl.is_convex(c) and pr.is_convex(c) for c in pm.components())
+        cuts.append((admissible, convex))
+        if not admissible:
+            continue
+        quo, q1, q2 = pushout(fl, fr)
+        if functor_cat._glued_iso(pro, quo, left, right, q1, q2) is None:
+            continue
+        return {
+            "leaf": False,
+            "proset": pro,
+            "cut": (a, b),
+            "left": decompose_by_validate(pl, cuts),
+            "right": decompose_by_validate(pr, cuts),
+        }
+    raise NoValidCutPair("no class pair splits this proset")
+
+
+def outcome_tree(decompose, pro):
+    try:
+        return decompose(pro)
+    except NoValidCutPair:
+        return NoValidCutPair
+
+
+def test_cut_convexity_matches_validating_the_inclusions(monkeypatch):
+    """The convexity test on the overlap's components and validate_fcc on
+    both inclusions agree on every connected cut, the trees are the same,
+    and generation_decompose pushes out admissible inclusions only: the 31
+    four-class types, every irreducible proset of 3-5 points and 300 seeded
+    irreducible prosets of 4-7 points."""
+
+    def admissible_pushout(f, g):
+        validate_fcc(f)
+        validate_fcc(g)
+        return pushout(f, g)
+
+    monkeypatch.setattr(functor_cat, "pushout", admissible_pushout)
+    rng = random.Random(181)
+    seeded = []
+    while len(seeded) < 300:
+        pro = random_proset(rng.randint(4, 7), rng)
+        if pro.is_irreducible():
+            seeded.append(pro)
+    pros = four_class_types() + [pro for n in range(3, 6) for pro in irreducible_prosets(n)] + seeded
+    cuts = []
+    for pro in pros:
+        want = outcome_tree(lambda p: decompose_by_validate(p, cuts), pro)
+        assert outcome_tree(generation_decompose, pro) == want
+    assert all(admissible == convex for admissible, convex in cuts)
+    assert len(cuts) >= 2000 and Counter(admissible for admissible, _ in cuts)[False] > 0
+
+
 def test_generation_rejects_reducible():
     from incring.errors import NotIrreducible
     disconnected = Proset([0, 1], [])

@@ -11,6 +11,7 @@ from incring.errors import HypothesisViolation, MalformedInput, NotInvertible
 from incring.glgroup import (
     GroupElement,
     _block_inverse,
+    _class_block,
     _det_adj,
     _mat_mul,
     certify,
@@ -476,6 +477,96 @@ def test_sixteen_point_block_round_trip():
         a = random_invertible(pro, ring, random.Random(89))
         b = invert(a)
         assert a.mul(b) == identity(pro, ring) == b.mul(a)
+
+
+def test_det_adj_matches_cofactor_oracle_exhaustively():
+    """Determinant and adjugate of every 2x2 block over Z/6, where pivoting
+    on units alone would fail, and of every 3x3 block over F2."""
+    for ring, n in ((ModRing(6), 2), (PrimeField(2), 3)):
+        for flat in itertools.product(list(ring.elements()), repeat=n * n):
+            blk = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            assert _det_adj(ring, blk) == (cofactor_det(ring, blk), cofactor_adjugate(ring, blk))
+
+
+# (block, determinant, adjugate) on the pivot search's branches
+PIVOT_CASES = [
+    # a column swap, then a zero last pivot carried through: rank 1
+    ([[0, 1], [0, 0]], 0, [[0, -1], [0, 0]]),
+    # a column swap and a row swap, then a zero last pivot: rank 2
+    ([[0, 0, 1], [0, 0, 0], [0, 1, 0]], 0, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    # the remaining block vanishes after one step: rank 1, adjugate 0
+    ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], 0, [[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    ([[0, 0], [0, 0]], 0, [[0, 0], [0, 0]]),
+    # swaps on units: a transposition and a 3-cycle with weights
+    ([[0, 1], [1, 0]], -1, [[0, -1], [-1, 0]]),
+    ([[0, 2, 0], [0, 0, 3], [5, 0, 0]], 30, [[0, 0, 6], [15, 0, 0], [0, 10, 0]]),
+]
+
+
+def test_det_adj_on_the_pivot_search_branches():
+    for ring in (ZZ, QQ):
+        for blk, d, adj in PIVOT_CASES:
+            blk = [[ring.canon(x) for x in row] for row in blk]
+            want = (ring.canon(d), [[ring.canon(x) for x in row] for row in adj])
+            assert _det_adj(ring, blk) == want
+            assert want == (cofactor_det(ring, blk), cofactor_adjugate(ring, blk))
+    # sparse blocks with zero rows and columns, and Q blocks on mixed
+    # denominators, take swaps at every step
+    rng = random.Random(191)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        dead = set(rng.sample(range(n), rng.randint(0, 2)))
+        for ring in (ZZ, QQ):
+            blk = [[ring.zero if j in dead or rng.random() < 0.5 else ring.canon(ring.random(rng))
+                    for j in range(n)] for _ in range(n)]
+            assert _det_adj(ring, blk) == (cofactor_det(ring, blk), cofactor_adjugate(ring, blk))
+
+
+def test_sixteen_point_rational_class_round_trip():
+    pro = two_block(16)
+    a = random_invertible(pro, QQ, random.Random(193))
+    b = invert(a)
+    assert a.mul(b) == identity(pro, QQ) == b.mul(a)
+    assert any(v.denominator > 1 for v in b.entries.values())
+
+
+def test_invert_round_trip_property():
+    """Prosets with multi-point classes over Z, Q, Z/6 and F2: is_invertible
+    agrees with the class-block determinants, and a unit's inverse is
+    two-sided, while a non-unit raises NotInvertible."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rings = (ZZ, QQ, ModRing(6), PrimeField(2))
+
+    @st.composite
+    def matrices(draw):
+        ring = draw(st.sampled_from(rings))
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: max(s) > 1))
+        labels = [(i, j) for i, n in enumerate(sizes) for j in range(n)]
+        below = {(i, k) for i in range(len(sizes)) for k in range(i + 1, len(sizes)) if draw(st.booleans())}
+        pro = Proset(labels, [(a, b) for a in labels for b in labels
+                              if a[0] == b[0] or (a[0], b[0]) in below])
+        if draw(st.booleans()):
+            return random_invertible(pro, ring, draw(st.randoms(use_true_random=False)))
+        values = st.integers(-3, 3) if ring.name != "Q" else st.fractions(-3, 3, max_denominator=4)
+        return IncMatrix(pro, ring, {p: ring.canon(draw(values)) for p in pro.pairs()})
+
+    @hypothesis.settings(derandomize=True, deadline=1000, max_examples=60, database=None)
+    @hypothesis.given(matrices())
+    def check(a):
+        ring, pro = a.ring, a.pro
+        dets = [cofactor_det(ring, _class_block(a, sorted(c, key=elem_key))) for c in pro.classes()]
+        unit = all(ring.is_unit(d) for d in dets)
+        assert is_invertible(a) == unit
+        if not unit:
+            with pytest.raises(NotInvertible):
+                invert(a)
+            return
+        b = invert(a)
+        one = identity(pro, ring)
+        assert a.mul(b) == one == b.mul(a)
+
+    check()
 
 
 # -- invert against the class back-substitution oracle ------------------------
