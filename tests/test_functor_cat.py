@@ -777,6 +777,95 @@ def test_cut_convexity_matches_validating_the_inclusions(monkeypatch):
     assert len(cuts) >= 2000 and Counter(admissible for admissible, _ in cuts)[False] > 0
 
 
+def cut_by_pushout(pro, a, b):
+    """Reference: the trial route generation_decompose once took on every
+    connected cut: restrict the pieces, push out the overlap's two
+    inclusions and look for the glued isomorphism onto pro."""
+    left, right, mid = functor_cat._cut_pieces(pro, a, b)
+    pl, pr, pm = pro.restrict(left), pro.restrict(right), pro.restrict(mid)
+    inclusion = {s: s for s in mid}
+    quo, q1, q2 = pushout(FccMap(pm, pl, inclusion), FccMap(pm, pr, inclusion))
+    return functor_cat._glued_iso(pro, quo, left, right, q1, q2) is not None
+
+
+def strictly_inside(pro, s):
+    """Some x < s < y: s's class lies strictly between two other points."""
+    below = [x for x in pro.elements if pro.leq(x, s) and not pro.leq(s, x)]
+    above = [y for y in pro.elements if pro.leq(s, y) and not pro.leq(y, s)]
+    return bool(below and above)
+
+
+def unsplit(pro, a, b):
+    """a and b are comparable and no point lies strictly between them."""
+    lo, hi = (a, b) if pro.leq(a, b) else (b, a)
+    return pro.leq(lo, hi) and not any(
+        pro.leq(lo, m) and pro.leq(m, hi) and not pro.leq(m, lo) and not pro.leq(hi, m)
+        for m in pro.elements)
+
+
+def test_cut_test_matches_the_trial_pushout():
+    """On every connected cut of the 31 four-class types, every irreducible
+    proset of 3-5 points and 300 seeded irreducible prosets of 4-8 points,
+    the order test accepts exactly the cuts whose trial pushout rebuilds the
+    proset, and the overlap convexity check passes on each one it accepts.
+    Both refusals occur: a class strictly between two other points, and two
+    extremal classes with no point strictly between them."""
+    rng = random.Random(191)
+    seeded = []
+    while len(seeded) < 300:
+        pro = random_proset(rng.randint(4, 8), rng)
+        if pro.is_irreducible() and len(pro.classes()) > 2:
+            seeded.append(pro)
+    pros = four_class_types() + [pro for n in range(3, 6) for pro in irreducible_prosets(n)] + seeded
+    verdicts = Counter()
+    for pro in pros:
+        if len(pro.classes()) <= 2:
+            continue
+        for a, b in functor_cat._class_pairs(pro):
+            left, right, mid = functor_cat._cut_pieces(pro, a, b)
+            if not (functor_cat._connected(pro, left) and functor_cat._connected(pro, right)):
+                continue
+            glues = functor_cat._cut_glues(pro, a, b)
+            assert glues == cut_by_pushout(pro, a, b), (pro, a, b)
+            if glues:
+                pl, pr = pro.restrict(left), pro.restrict(right)
+                assert all(pl.is_convex(c) and pr.is_convex(c)
+                           for c in pro.restrict(mid).components())
+                verdicts["glues"] += 1
+            elif strictly_inside(pro, a) or strictly_inside(pro, b):
+                verdicts["inside"] += 1
+            else:
+                assert unsplit(pro, a, b)
+                verdicts["unsplit"] += 1
+    assert verdicts["glues"] >= 1000 and verdicts["inside"] >= 100 and verdicts["unsplit"] >= 100
+
+
+def test_generation_pushes_nothing_out(monkeypatch):
+    """generation_decompose decides every cut on the order: with pushout and
+    _glued_iso raising, it still splits the diamond and the 31 four-class
+    types, and reassemble rebuilds each through one real pushout per node."""
+    def refuse(*args):
+        raise AssertionError("generation_decompose tried a pushout")
+
+    pros = [Proset(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])] + four_class_types()
+    with monkeypatch.context() as patch:
+        patch.setattr(functor_cat, "pushout", refuse)
+        patch.setattr(functor_cat, "_glued_iso", refuse)
+        trees = [generation_decompose(pro) for pro in pros]
+    calls = []
+
+    def counted(f, g):
+        calls.append(f)
+        return pushout(f, g)
+
+    monkeypatch.setattr(functor_cat, "pushout", counted)
+    for pro, tree in zip(pros, trees):
+        calls.clear()
+        assert reassemble(tree).poset_isomorphic(pro) is not None
+        nodes = [node for node in subtrees(tree) if not node["leaf"]]
+        assert nodes and len(calls) == len(nodes)
+
+
 def test_generation_rejects_reducible():
     from incring.errors import NotIrreducible
     disconnected = Proset([0, 1], [])
@@ -880,3 +969,94 @@ def test_colimit_labels_match_label_key_roots(monkeypatch):
         assert list(quo_elements) == by_key(quo_elements)
     monkeypatch.setattr(functor_cat._Partition, "union", union_by_label_key)
     assert colimit_labels(spans, pairs) == got
+
+
+# -- properties --------------------------------------------------------------------
+# Hypothesis draws the prosets, so a failure shrinks to a small one; the maps
+# come from random_fcc_map on a drawn seed.
+
+PROPERTY = {"derandomize": True, "database": None, "deadline": 1000, "max_examples": 60}
+
+
+def drawn_prosets(st, connected, max_points):
+    """Prosets on 0..n-1: a random tree of comparabilities when `connected`,
+    plus up to n more relations, which may close into cycles."""
+    @st.composite
+    def prosets(draw):
+        n = draw(st.integers(1, max_points))
+        rel = []
+        if connected:
+            for i in range(1, n):
+                j = draw(st.integers(0, i - 1))
+                rel.append((j, i) if draw(st.booleans()) else (i, j))
+        points = st.integers(0, n - 1)
+        rel += draw(st.lists(st.tuples(points, points), max_size=n))
+        return Proset(range(n), rel)
+
+    return prosets()
+
+
+def drawn_map(hypothesis, dom, cod, rng):
+    """A random admissible map, the draw rejected when none exists."""
+    try:
+        return random_fcc_map(dom, cod, rng)
+    except ValueError:
+        hypothesis.reject()
+
+
+def component_collapse(pro):
+    """The map of pro onto one point per connected component."""
+    comps = pro.components()
+    return FccMap(pro, Proset(range(len(comps))), {s: i for i, c in enumerate(comps) for s in c})
+
+
+def test_generation_round_trip_property():
+    """Every leaf of a connected proset's tree has at most two classes, and
+    reassemble rebuilds the proset up to isomorphism."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(**PROPERTY)
+    @hypothesis.given(drawn_prosets(hypothesis.strategies, True, 7))
+    def check(pro):
+        tree = generation_decompose(pro)
+        assert all(len(sizes) <= 2 for sizes in leaf_sizes(tree))
+        assert reassemble(tree).poset_isomorphic(pro) is not None
+
+    check()
+
+
+def test_pushout_universal_property():
+    """The legs of a pushout commute, and pushout_mediator recovers the
+    identity and the collapse onto components from their composites with
+    the legs."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(**PROPERTY)
+    @hypothesis.given(drawn_prosets(st, False, 3), drawn_prosets(st, False, 4),
+                      drawn_prosets(st, False, 4), st.randoms(use_true_random=False))
+    def check(apex, left, right, rng):
+        f, g = drawn_map(hypothesis, apex, left, rng), drawn_map(hypothesis, apex, right, rng)
+        quo, q1, q2 = pushout(f, g)
+        assert compose(f, q1) == compose(g, q2)
+        for w in (identity_map(quo), component_collapse(quo)):
+            assert pushout_mediator(q1, q2, compose(q1, w), compose(q2, w)) == w
+
+    check()
+
+
+def test_pullback_functoriality_property():
+    """Pulling back along a composite is pulling back twice."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    carriers = drawn_prosets(st, False, 4)
+
+    @hypothesis.settings(**PROPERTY)
+    @hypothesis.given(carriers, carriers, carriers, st.sampled_from((ZZ, QQ, PrimeField(5))),
+                      st.randoms(use_true_random=False))
+    def check(a, b, c, ring, rng):
+        f, g = drawn_map(hypothesis, a, b, rng), drawn_map(hypothesis, b, c, rng)
+        x = random_matrix(c, ring, rng)
+        assert induced_hom(compose(f, g), x) == induced_hom(f, induced_hom(g, x))
+
+    check()
