@@ -160,11 +160,41 @@ def _close(elements, relations):
     return up
 
 
+def _order_embeddings(dom, points, cod, candidates):
+    """The one backtracking search: every injective map of `points` (of
+    `dom`) into `cod` that preserves and reflects order, the i-th point going
+    to a member of `candidates[i]`, yielded depth first as dicts.  No budget:
+    up to n!/(n-k)! partial maps when the candidates cut nothing."""
+    assignment, used = {}, set()
+
+    def extend(i):
+        if i == len(points):
+            yield dict(assignment)
+            return
+        s = points[i]
+        up_s, down_s = dom._up[s], dom._down[s]
+        for t in candidates[i]:
+            if t in used:
+                continue
+            up_t, down_t = cod._up[t], cod._down[t]
+            for s2, t2 in assignment.items():
+                if (s2 in up_s) != (t2 in up_t) or (s2 in down_s) != (t2 in down_t):
+                    break
+            else:
+                assignment[s] = t
+                used.add(t)
+                yield from extend(i + 1)
+                del assignment[s]
+                used.discard(t)
+
+    return extend(0)
+
+
 class Proset:
     """Finite preordered set.  Immutable after construction, so pairs(),
-    opposite(), classes() and components() are each computed on first use
-    and kept.  `rank` maps each element to its place in the elem_key order
-    of `elements`; later orderings sort by it.
+    opposite(), classes(), components() and the point signatures are each
+    computed on first use and kept.  `rank` maps each element to its place
+    in the elem_key order of `elements`; later orderings sort by it.
 
     Construction sorts the elements, closes the relations (`_close`) and
     finishes, deriving `rank` and the down-sets.  A derived proset enters at
@@ -172,7 +202,7 @@ class Proset:
     window bring sets that are already closed, and a quotient whose classes
     already come in order only closes its relations."""
 
-    _pairs = _opposite = _classes = _components = _windows = None
+    _pairs = _opposite = _classes = _components = _windows = _kept_signatures = None
 
     def __init__(self, elements, relations=()):
         elements = _sorted(set(elements))
@@ -411,53 +441,33 @@ class Proset:
 
     # -- isomorphism -------------------------------------------------------------
 
-    def _signature(self, s):
-        up, down = self._up[s], self._down[s]
-        base = (len(self.equiv_class(s)), len(up), len(down))
-        ups = sorted((len(self._up[t]), len(self._down[t])) for t in up)
-        downs = sorted((len(self._up[t]), len(self._down[t])) for t in down)
-        return (base, tuple(ups), tuple(downs))
+    def _signatures(self):
+        """Each point's signature (class, up- and down-set sizes, and the
+        sorted such sizes above and below it) and their sorted multiset."""
+        if self._kept_signatures is None:
+            up, down = self._up, self._down
+            sizes = {s: (len(up[s]), len(down[s])) for s in self.elements}
+            sig = {
+                s: ((len(up[s] & down[s]),) + sizes[s],
+                    tuple(sorted(sizes[t] for t in up[s])),
+                    tuple(sorted(sizes[t] for t in down[s])))
+                for s in self.elements
+            }
+            self._kept_signatures = sig, tuple(sorted(sig.values()))
+        return self._kept_signatures
 
     def poset_isomorphic(self, other):
         """Order isomorphism to `other` as a dict, or None.  Works on prosets.
-        No budget: the backtracking tries up to n! assignments when many
-        points share a signature."""
-        if len(self.elements) != len(other.elements):
-            return None
-        mine = {s: self._signature(s) for s in self.elements}
-        theirs = {t: other._signature(t) for t in other.elements}
-        if sorted(mine.values()) != sorted(theirs.values()):
+        Past matching signature multisets, the first map `_order_embeddings`
+        yields, each point's candidates sharing its signature.  No budget:
+        up to n! assignments when many points share a signature."""
+        mine, invariant = self._signatures()
+        theirs, their_invariant = other._signatures()
+        if invariant != their_invariant:
             return None
         order = sorted(self.elements, key=lambda s: (mine[s], elem_key(s)))
-        candidates = {
-            s: [t for t in other.elements if theirs[t] == mine[s]] for s in order
-        }
-
-        assignment = {}
-        used = set()
-
-        def extend(i):
-            if i == len(order):
-                return True
-            s = order[i]
-            for t in candidates[s]:
-                if t in used:
-                    continue
-                ok = True
-                for s2, t2 in assignment.items():
-                    if self.leq(s, s2) != other.leq(t, t2) or self.leq(s2, s) != other.leq(t2, t):
-                        ok = False
-                        break
-                if ok:
-                    assignment[s] = t
-                    used.add(t)
-                    if extend(i + 1):
-                        return True
-                    del assignment[s]
-                    used.discard(t)
-            return False
-
-        return dict(assignment) if extend(0) else None
+        candidates = [[t for t in other.elements if theirs[t] == mine[s]] for s in order]
+        return next(_order_embeddings(self, order, other, candidates), None)
 
     def __eq__(self, other):
         if self is other:

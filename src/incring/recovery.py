@@ -18,7 +18,7 @@ structure-constant bundles.
 
 A recovered poset carries a certificate: M(P) is free on one basis element
 per order pair (the interval basis), so the atoms found are all the points
-exactly when the order they induce has `dim` pairs.
+exactly when the closed order they induce has `dim` pairs.
 
 A bundle product runs one integer kernel.  The table's nonzero structure
 constants are lifted to ints once (`CoeffRing.lift`; over Q with one common
@@ -455,10 +455,13 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     turns up (see `_add_atom`).
 
     The atoms found span at most `access.dim` order pairs, exactly `dim` when
-    they are all the points.  Witness mode draws until that holds and raises
-    SearchBudgetExceeded past `budget` ring operations, never returning a
-    short poset; a count that ends anywhere else raises HypothesisViolation,
-    as the ring is no incidence ring of a poset.  Returns a Proset on fresh
+    they are all the points.  Witness mode draws until the pairs read off
+    number `dim` and raises SearchBudgetExceeded past `budget` ring
+    operations, never returning a short poset.  The certified count is the
+    *closed* order's: one other than `dim` raises HypothesisViolation, as the
+    ring is no incidence ring of a poset (a path with a.b = 0 reads 5 pairs
+    but closes to 6).  Necessary, not sufficient: products that vanish or
+    twist along a chain s < t < u can still pass.  Returns a Proset on fresh
     integer labels, correct up to isomorphism.  Raises RingBooleanPartTooLarge
     when the coefficient ring has idempotents besides 0 and 1, since the class
     count would no longer match the poset.
@@ -469,9 +472,9 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
         mode = "exhaustive" if size is not None and size <= 2**14 else "witness"
     basis, atoms, rel = access.basis(), [], []
 
-    def tally():
+    def tally(pairs):
         return "found %d atom classes with %d order pairs, against dimension %d" % (
-            len(atoms), len(atoms) + len(rel), access.dim)
+            len(atoms), pairs, access.dim)
 
     if mode == "exhaustive":
         if size is None or size > 2**14:
@@ -487,7 +490,7 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
         while len(atoms) + len(rel) < access.dim:
             if access.ops > budget:
                 raise SearchBudgetExceeded(
-                    "budget of %d ring operations spent: %s" % (budget, tally()))
+                    "budget of %d ring operations spent: %s" % (budget, tally(len(atoms) + len(rel))))
             e = access.sample_idempotent(rng)
             if any(_access_nilpotent(access, _difference(access, e, r), squarings) for r in reps):
                 continue
@@ -497,6 +500,7 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     else:
         raise ValueError("mode must be auto, exhaustive, or witness")
 
-    if len(atoms) + len(rel) != access.dim:
-        raise HypothesisViolation("%s: not the incidence ring of a poset" % tally())
-    return Proset(range(len(atoms)), rel)
+    rec = Proset(range(len(atoms)), rel)
+    if len(rec.pairs()) != access.dim:
+        raise HypothesisViolation("%s: not the incidence ring of a poset" % tally(len(rec.pairs())))
+    return rec

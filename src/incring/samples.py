@@ -3,13 +3,16 @@ throughout the tests.
 
 Posets are enumerated by repeatedly adjoining a new maximal element over
 every downward-closed subset, discarding isomorphic duplicates; the counts
-1, 2, 5, 16, 63 for one through five points are a useful cross-check.
-Prosets come from blowing up poset types on the class quotient by all ways
-of assigning class sizes.
+1, 2, 5, 16, 63, 318, 2045 for one through seven points are a useful
+cross-check.  Prosets come from blowing up poset types on the class quotient
+by all ways of assigning class sizes.
+
+Both the duplicate test (`Proset.poset_isomorphic`) and `random_fcc_map`'s
+component embeddings run the one search, `prosets._order_embeddings`.
 """
 
 from .matrices import IncMatrix
-from .prosets import Proset
+from .prosets import Proset, _order_embeddings
 
 __all__ = [
     "enumerate_posets",
@@ -27,7 +30,7 @@ def _downsets(pro):
     els = list(pro.elements)
     for mask in range(2 ** len(els)):
         sub = {els[i] for i in range(len(els)) if mask >> i & 1}
-        if all(t in sub for s in sub for t in pro.elements if pro.leq(t, s)):
+        if all(pro.down_set(s) <= sub for s in sub):
             yield sub
 
 
@@ -124,31 +127,10 @@ def random_matrix(pro, ring, rng, density=0.6):
 
 def _component_embeddings(comp, dom, cod):
     """All maps of one connected component, listed in canonical order, that
-    are embeddings onto a convex image, found by backtracking along it."""
-    results = []
-
-    def extend(assigned):
-        if len(assigned) == len(comp):
-            img = list(assigned.values())
-            if cod.is_convex(img):
-                results.append(dict(assigned))
-            return
-        s = comp[len(assigned)]
-        for t in cod.elements:
-            if t in assigned.values():
-                continue
-            good = True
-            for s0, t0 in assigned.items():
-                if dom.leq(s0, s) != cod.leq(t0, t) or dom.leq(s, s0) != cod.leq(t, t0):
-                    good = False
-                    break
-            if good:
-                assigned[s] = t
-                extend(assigned)
-                del assigned[s]
-
-    extend({})
-    return results
+    are embeddings onto a convex image: those of `_order_embeddings`, every
+    codomain point a candidate, whose image is convex."""
+    maps = _order_embeddings(dom, comp, cod, [cod.elements] * len(comp))
+    return [m for m in maps if cod.is_convex(m.values())]
 
 
 def random_fcc_map(dom, cod, rng, constant_bias=0.5):

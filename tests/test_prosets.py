@@ -25,6 +25,7 @@ from incring.prosets import (
     two_block,
 )
 from incring.samples import (
+    _component_embeddings,
     enumerate_posets,
     enumerate_prosets,
     irreducible_prosets,
@@ -388,6 +389,62 @@ def test_enumeration_dedups_up_to_iso():
     for i, a in enumerate(seen):
         for b in seen[i + 1:]:
             assert a.poset_isomorphic(b) is None
+
+
+def test_enumeration_counts_at_six_posets_and_five_prosets():
+    """OEIS A000112 and A001930, where the search behind the dedupe is
+    longest."""
+    assert len(enumerate_posets(6)) == 318
+    assert len(enumerate_prosets(5)) == 139
+
+
+def relation_key(pro, order):
+    return tuple(pro.leq(s, t) for s in order for t in order)
+
+
+def canonical_relation(pro):
+    """The least relation matrix over every listing of the points: two
+    prosets are isomorphic exactly when theirs agree."""
+    return min(relation_key(pro, order) for order in itertools.permutations(pro.elements))
+
+
+def test_poset_isomorphic_matches_permutations():
+    """Every pair of prosets on at most four points, each also under fresh
+    labels in another order: a dict comes back exactly when some permutation
+    is an isomorphism, and it is one."""
+    rng = random.Random(5)
+    relabelled = []
+    for pro in SMALL_PROSETS:
+        shuffled = list(pro.elements)
+        rng.shuffle(shuffled)
+        lab = {s: ("x", t) for s, t in zip(pro.elements, shuffled)}
+        relabelled.append(Proset(lab.values(), [(lab[a], lab[b]) for a, b in pro.pairs()]))
+    pool = SMALL_PROSETS + relabelled
+    canon = [canonical_relation(pro) for pro in pool]
+    for a, ca in zip(pool, canon):
+        for b, cb in zip(pool, canon):
+            iso = a.poset_isomorphic(b)
+            assert (iso is not None) == (ca == cb)
+            if iso is not None:
+                assert sorted(iso.values(), key=repr) == sorted(b.elements, key=repr)
+                assert relation_key(a, a.elements) == relation_key(b, [iso[s] for s in a.elements])
+
+
+def test_component_embeddings_match_brute_force():
+    """Each component of a proset on at most three points, into each proset
+    on at most four: the injective maps that preserve and reflect order and
+    have a convex image, as permutations list them, in the same order."""
+    for dom in [p for n in range(1, 4) for p in enumerate_prosets(n)]:
+        for comp in dom.components():
+            comp = sorted(comp, key=dom.rank.__getitem__)
+            for cod in SMALL_PROSETS:
+                want = [
+                    dict(zip(comp, img))
+                    for img in itertools.permutations(cod.elements, len(comp))
+                    if relation_key(dom, comp) == relation_key(cod, img) and cod.is_convex(img)
+                ]
+                got = _component_embeddings(comp, dom, cod)
+                assert [list(m.items()) for m in got] == [list(m.items()) for m in want]
 
 
 def test_irreducible_prosets_are_irreducible():

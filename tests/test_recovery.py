@@ -1,6 +1,7 @@
 """Idempotent apparatus and poset recovery from opaque ring access."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -583,3 +584,47 @@ def test_bundle_kernel_on_zero_operands():
         for x, y in ((zero, one), (one, zero), (zero, zero)):
             assert access.is_zero(assert_kernel_matches_oracle(access, x, y))
         assert assert_kernel_matches_oracle(access, one, one) == one
+
+
+def path_with_a_zero_product(p):
+    """The path 0 -a-> 1 -b-> 2 with a.b = 0 over F_p, on the basis e0, e1,
+    e2, a, b with the primitives e0, e1, e2 as samples: an associative,
+    unital table of dimension 5 whose primitives show the pairs 0 < 1 and
+    1 < 2 but no product from 0 to 2.  Closed, those pairs are the 3-chain,
+    with 6 pairs, so it is no incidence ring."""
+    e0, e1, e2, a, b = range(5)
+    products = {(e0, e0): e0, (e1, e1): e1, (e2, e2): e2,
+                (e0, a): a, (a, e1): a, (e1, b): b, (b, e2): b}
+
+    def vec(*ones):
+        return ["1" if k in ones else "0" for k in range(5)]
+
+    return {
+        "ring": {"gf": p},
+        "dim": 5,
+        "table": [[vec(*[products[i, j]] if (i, j) in products else []) for j in range(5)]
+                  for i in range(5)],
+        "one": vec(e0, e1, e2),
+        "samples": [vec(e0), vec(e1), vec(e2)],
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("mode", ["exhaustive", "witness"])
+def test_closed_pair_count_refuses_a_path_with_a_zero_product(capsys, p, mode):
+    """The pairs read off the primitives number 3 + 2 = dim, but their
+    closure has 6: the library and `incring recover` both refuse the table
+    with HypothesisViolation instead of printing the 3-chain."""
+    from incring.cli import main
+
+    table = path_with_a_zero_product(p)
+    with pytest.raises(HypothesisViolation) as err:
+        recover_poset(BundleAccess(table, PrimeField(p)), mode=mode)
+    assert str(err.value) == (
+        "found 3 atom classes with 6 order pairs, against dimension 5: "
+        "not the incidence ring of a poset")
+    code = main(["recover", "--input", json.dumps(table), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"]["type"] == "HypothesisViolation"
