@@ -94,7 +94,13 @@ class NotInDiagonalSupport(IncRingError):
 
 
 class SearchBudgetExceeded(IncRingError):
-    """A randomized search ran out of budget before reaching its goal."""
+    """A search ran out of budget before reaching its goal: a randomized
+    search, or a closure or enumeration past its element cap."""
+
+
+class _ClosureCapExceeded(SearchBudgetExceeded, ValueError):
+    """A closure or unit enumeration held more elements than its cap.  Also
+    a ValueError, so callers that catch the caps as one keep working."""
 
 
 class NotOrderPreserving(IncRingError):

@@ -7,7 +7,12 @@ by block and sums the series of N by repeated squaring on the `IncMatrix.mul`
 kernel.  An n-point class block's determinant and adjugate come from one
 fraction-free Gauss-Jordan elimination (Bareiss) on the block lifted to
 ints, O(n^3) integer operations whose divisions are exact, pivoting over
-the whole remaining block, so Z and Z/n work as well as fields.
+the whole remaining block, so Z and Z/n work as well as fields;
+`det_block` runs only its forward pass.
+
+A random unit is drawn in one pass: per class, the entries of L*D*U are
+summed straight from the random factors, and they go into the matrix
+without re-validation, as do `enumerate_matrices`' canonical values.
 
 Closures are breadth-first orbits on one routine, `_orbit`: `mulclose`
 right-multiplies new elements by the kept generators only, about
@@ -19,7 +24,7 @@ of its factors.
 import itertools
 from collections import namedtuple
 
-from .errors import HypothesisViolation, MalformedInput, NotInvertible
+from .errors import HypothesisViolation, MalformedInput, NotInvertible, _ClosureCapExceeded
 from .matrices import IncMatrix, _raw, identity, unit
 from .prosets import elem_key, two_block
 from .rings import PrimeField
@@ -66,10 +71,22 @@ def _mat_mul(ring, x, y):
     return out
 
 
+def _lift_block(ring, m):
+    """The square block `m` as rows of ints over one scale
+    (`CoeffRing.lift`), and the scale."""
+    n = len(m)
+    ints, scale = ring.lift(dict(enumerate([a for row in m for a in row])))
+    return [[ints[i] for i in range(r, r + n)] for r in range(0, n * n, n)], scale
+
+
 def det_block(ring, m):
     """Determinant of a dense n x n block: the closed form up to n == 3,
-    where it is the faster route, else `_det_adj`'s fraction-free
-    elimination, O(n^3) integer operations."""
+    where it is the faster route, else a determinant-only Bareiss forward
+    elimination on the block lifted to ints, with `_det_adj`'s pivot search:
+    step k takes row_i <- (p_k row_i - a_ik row_k) / p_(k-1) for i > k only,
+    exact by Sylvester's identity, and the last pivot is the determinant.
+    About n^3 / 3 integer operations, a third of `_det_adj`'s, and no
+    adjugate."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -83,7 +100,24 @@ def det_block(ring, m):
             sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
             mul(c, sub(mul(d, h), mul(e, g))),
         )
-    return _det_adj(ring, m)[0]
+    w, scale = _lift_block(ring, m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not w[k][k]:
+            hit = next(((i, j) for i in range(k, n) for j in range(k, n) if w[i][j]), None)
+            if hit is None:
+                return ring.zero
+            i, j = hit
+            w[i], w[k] = w[k], w[i]
+            for r in w[k:]:
+                r[j], r[k] = r[k], r[j]
+            sign *= (-1) ** ((i != k) + (j != k))
+        p, tail = w[k][k], w[k][k + 1:]
+        for wi in w[k + 1:]:
+            a = wi[k]
+            wi[k + 1:] = [(p * x - a * y) // prev for x, y in zip(wi[k + 1:], tail)]
+        prev = p
+    return ring.lower_all((sign * w[-1][-1],), scale ** n)[0]
 
 
 def _det_adj(ring, m):
@@ -104,8 +138,7 @@ def _det_adj(ring, m):
     and only the determinant (at scale^n) and the adjugate (at
     scale^(n-1)) are lowered back into the ring."""
     n = len(m)
-    ints, scale = ring.lift(dict(enumerate([a for row in m for a in row])))
-    w = [[ints[i] for i in range(r, r + n)] for r in range(0, n * n, n)]
+    w, scale = _lift_block(ring, m)
     swaps, sign, prev = [], 1, 1
     for k in range(n):
         if not w[k][k]:
@@ -350,50 +383,91 @@ def is_central(g):
 # -- sampling and enumeration --------------------------------------------------------
 
 
+def _ldu(ring, low, diag, up):
+    """The entries of L*D*U row after row, for L unit lower triangular with
+    strict rows `low`, D with diagonal `diag` and U unit upper triangular
+    with strict rows `up`.  The factors are lifted to ints over one scale,
+    and each entry (L*D*U)[i][j] = sum over k <= min(i, j) of
+    L[i][k] d_k U[k][j] is summed straight from them, about n^3 / 3
+    multiply-adds, then lowered once."""
+    n = len(diag)
+    flat = [x for row in low + up for x in row] + diag + [ring.one]
+    ints, scale = ring.lift(dict(enumerate(flat)))
+    it = iter([ints[i] for i in range(len(flat))])
+    low = [[next(it) for _ in row] for row in low]
+    up = [[next(it) for _ in row] for row in up]
+    diag = [next(it) for _ in diag]
+    one = next(it)
+    up = [[one] + row for row in up]
+    out = []
+    for i in range(n):
+        row = [0] * n
+        for k, x in enumerate(low[i] + [one]):
+            a = x * diag[k]
+            if a:
+                row[k:] = [y + a * z for y, z in zip(row[k:], up[k])]
+        out.extend(row)
+    return ring.lower_all(out, scale**3)
+
+
 def random_invertible(pro, ring, rng):
     """Random unit: per class, a product L*D*U with unit diagonal D, plus
-    arbitrary entries between distinct comparable classes."""
-    entries = {}
+    arbitrary entries between distinct comparable classes.
+
+    The draws come in a fixed order: per class in `classes()` order, the
+    strict lower entries of L row by row, then the strict upper entries of
+    U, then the diagonal units; after all classes, one entry per order pair
+    between distinct classes, in `pairs()` order.  A one-point class is its
+    unit, and a larger block is summed straight from its factors (`_ldu`).
+    The values are canonical, nonzero and on the order by construction, so
+    the matrix is built without re-validation, and a draw costs 1.2-1.5
+    products of the same matrix."""
     units = _unit_sample(ring)
     if ring.one not in units:
         units = units + [ring.one]
+    draw, choice, zero = ring.random, rng.choice, ring.zero
+    entries = {}
     for c in pro.classes():
-        rows = tuple(sorted(c, key=elem_key))
+        rows = sorted(c, key=elem_key)
         n = len(rows)
-        low = [[ring.one if i == j else (ring.random(rng) if i > j else ring.zero) for j in range(n)] for i in range(n)]
-        up = [[ring.one if i == j else (ring.random(rng) if i < j else ring.zero) for j in range(n)] for i in range(n)]
-        diag = [[rng.choice(units) if i == j else ring.zero for j in range(n)] for i in range(n)]
-        blk = _mat_mul(ring, _mat_mul(ring, low, diag), up)
-        for a, row in zip(rows, blk):
-            for b, v in zip(rows, row):
-                if v != ring.zero:
-                    entries[(a, b)] = v
-    for (s1, s2) in pro.strict_pairs():
-        if pro.leq(s2, s1):
+        if n == 1:
+            entries[(rows[0], rows[0])] = choice(units)
             continue
-        v = ring.random(rng)
-        if v != ring.zero:
-            entries[(s1, s2)] = v
-    return IncMatrix(pro, ring, entries)
+        low = [[draw(rng) for _ in range(i)] for i in range(n)]
+        up = [[draw(rng) for _ in range(i + 1, n)] for i in range(n)]
+        vals = iter(_ldu(ring, low, [choice(units) for _ in range(n)], up))
+        for a in rows:
+            for b in rows:
+                v = next(vals)
+                if v != zero:
+                    entries[(a, b)] = v
+    leq = pro.leq
+    for s1, s2 in pro.pairs():
+        if not leq(s2, s1):
+            v = draw(rng)
+            if v != zero:
+                entries[(s1, s2)] = v
+    return _raw(pro, ring, entries)
 
 
 def enumerate_matrices(pro, ring):
-    """Every matrix of the incidence ring (finite ring only)."""
-    pairs = pro.pairs()
+    """Every matrix of the incidence ring (finite ring only), built without
+    re-validation: `ring.elements()` values are canonical."""
+    pairs, zero = pro.pairs(), ring.zero
     for combo in itertools.product(ring.elements(), repeat=len(pairs)):
-        yield IncMatrix(pro, ring, {p: v for p, v in zip(pairs, combo) if v != ring.zero})
+        yield _raw(pro, ring, {p: v for p, v in zip(pairs, combo) if v != zero})
 
 
 def enumerate_invertibles(pro, ring, cap=None):
     """The units of a finite incidence ring, by testing all |R|^|pairs|
-    matrices.  ValueError once more than `cap` are found; at cap None up to
-    that many are kept."""
+    matrices.  SearchBudgetExceeded, also a ValueError, once more than `cap`
+    are found; at cap None up to that many are kept."""
     out = []
     for m in enumerate_matrices(pro, ring):
         if is_invertible(m):
             out.append(m)
             if cap is not None and len(out) > cap:
-                raise ValueError("more than %d invertibles" % cap)
+                raise _ClosureCapExceeded("more than %d invertibles" % cap)
     return out
 
 
@@ -402,10 +476,10 @@ def _orbit(found, seeds, actions, cap=None, max_rounds=None):
     (l, r) in `actions`, where l None means x -> x*r.
 
     `found` is a dict used as an insertion-ordered set: every element not
-    yet in it joins it in discovery order, and ValueError is raised once it
-    holds more than `cap`.  At most `max_rounds` rounds of actions run.
-    Returns the rounds run and the last frontier, which is empty exactly
-    when the orbit closed."""
+    yet in it joins it in discovery order, and SearchBudgetExceeded, also a
+    ValueError, is raised once it holds more than `cap`.  At most
+    `max_rounds` rounds of actions run.  Returns the rounds run and the
+    last frontier, which is empty exactly when the orbit closed."""
 
     def admit(candidates):
         fresh = []
@@ -414,7 +488,7 @@ def _orbit(found, seeds, actions, cap=None, max_rounds=None):
                 found[y] = None
                 fresh.append(y)
                 if cap is not None and len(found) > cap:
-                    raise ValueError("closure exceeded %d elements" % cap)
+                    raise _ClosureCapExceeded("closure exceeded %d elements" % cap)
         return fresh
 
     frontier = admit(seeds)
@@ -438,8 +512,9 @@ def mulclose(mats, cap=None):
     right-multiplied by the generators kept so far (the orbit algorithm).
     That costs about |closure| * |kept generators| products, against the
     2 |closure|^2 of multiplying new elements by everything found.  Raises
-    ValueError exactly when the closure has more than `cap` elements; at cap
-    None it can grow to all |R|^|pairs| matrices of a finite ring.
+    SearchBudgetExceeded, also a ValueError, exactly when the closure has
+    more than `cap` elements; at cap None it can grow to all |R|^|pairs|
+    matrices of a finite ring.
     """
     closure, actions = {}, []
     for g in mats:

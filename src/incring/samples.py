@@ -7,7 +7,9 @@ every downward-closed subset, discarding isomorphic duplicates; the counts
 cross-check.  Prosets come from blowing up poset types on the class quotient
 by all ways of assigning class sizes.
 
-Both the duplicate test (`Proset.poset_isomorphic`) and `random_fcc_map`'s
+Duplicates are found by bucketing candidates on their kept signature
+multiset (`Proset._signatures`) and testing isomorphism only inside a
+bucket.  Both that test (`Proset.poset_isomorphic`) and `random_fcc_map`'s
 component embeddings run the one search, `prosets._order_embeddings`.
 """
 
@@ -34,20 +36,31 @@ def _downsets(pro):
             yield sub
 
 
+def _distinct(cands):
+    """The candidates isomorphic to no earlier one, in order.  Isomorphic
+    prosets share the kept signature multiset, so each candidate is tested
+    only against the kept ones in its multiset's bucket."""
+    out, buckets = [], {}
+    for cand in cands:
+        bucket = buckets.setdefault(cand._signatures()[1], [])
+        if not any(cand.poset_isomorphic(q) for q in bucket):
+            bucket.append(cand)
+            out.append(cand)
+    return out
+
+
 def enumerate_posets(n):
     """All posets on exactly n points, up to isomorphism, on labels 0..n-1."""
     if n == 0:
         return [Proset([], [])]
     found = [Proset([0], [])]
     for size in range(2, n + 1):
-        fresh = []
-        for pro in found:
-            for below in _downsets(pro):
-                rel = list(pro.pairs()) + [(s, size - 1) for s in below]
-                cand = Proset(list(pro.elements) + [size - 1], rel)
-                if not any(cand.poset_isomorphic(q) for q in fresh):
-                    fresh.append(cand)
-        found = fresh
+        found = _distinct(
+            Proset(list(pro.elements) + [size - 1],
+                   list(pro.pairs()) + [(s, size - 1) for s in below])
+            for pro in found
+            for below in _downsets(pro)
+        )
     return found
 
 
@@ -80,14 +93,12 @@ def _blow_up(quotient, sizes):
 def enumerate_prosets(n):
     """All prosets on exactly n points up to isomorphism: poset types on the
     class quotient, blown up by every class-size assignment."""
-    out = []
-    for k in range(1, n + 1):
-        for quotient in enumerate_posets(k):
-            for sizes in _compositions(n, k):
-                cand = _blow_up(quotient, sizes)
-                if not any(cand.poset_isomorphic(q) for q in out):
-                    out.append(cand)
-    return out
+    return _distinct(
+        _blow_up(quotient, sizes)
+        for k in range(1, n + 1)
+        for quotient in enumerate_posets(k)
+        for sizes in _compositions(n, k)
+    )
 
 
 def irreducible_prosets(n):

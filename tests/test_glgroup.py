@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from incring.errors import HypothesisViolation, MalformedInput, NotInvertible
+from incring.errors import HypothesisViolation, MalformedInput, NotInvertible, SearchBudgetExceeded
 from incring.glgroup import (
     GroupElement,
     _block_inverse,
@@ -712,3 +712,146 @@ def test_random_invertible_stream_is_unchanged():
             digest.update(repr(random_invertible(pro, ring, rng)).encode())
     digest.update(repr(rng.random()).encode())
     assert digest.hexdigest() == "055d4fde2d7aa5eeaa85b9855f986a2f4d40cb4e25510365c2f12db7639f0e44"
+
+
+# -- one-pass draws and enumeration against the validated constructions -------
+
+
+def reference_draw(pro, ring, rng):
+    """Oracle: the dense L*D*U block products by `_mat_mul`, with every
+    entry re-validated by the IncMatrix constructor, drawing in the same
+    order as `random_invertible`."""
+    units = [ring.canon(-1)] if ring.name == "Z" else (
+        list(ring.units()) if ring.finite else [ring.canon(2)])
+    if ring.one not in units:
+        units.append(ring.one)
+    entries = {}
+    for c in pro.classes():
+        rows = sorted(c, key=elem_key)
+        n = len(rows)
+        low = [[ring.one if i == j else (ring.random(rng) if i > j else ring.zero)
+                for j in range(n)] for i in range(n)]
+        up = [[ring.one if i == j else (ring.random(rng) if i < j else ring.zero)
+               for j in range(n)] for i in range(n)]
+        diag = [[rng.choice(units) if i == j else ring.zero for j in range(n)] for i in range(n)]
+        blk = _mat_mul(ring, _mat_mul(ring, low, diag), up)
+        entries.update({(a, b): v for a, row in zip(rows, blk) for b, v in zip(rows, row)})
+    for s1, s2 in pro.strict_pairs():
+        if not pro.leq(s2, s1):
+            entries[(s1, s2)] = ring.random(rng)
+    return IncMatrix(pro, ring, entries)
+
+
+SMALL_PROSETS = [p for n in range(1, 5) for p in enumerate_prosets(n)]
+
+
+def test_random_invertible_property():
+    """Every proset of at most 4 points over F2, F3, Z/6, Z/9, Z and Q: a
+    draw is a unit that certify accepts, its entries are what the validating
+    constructor keeps, and it equals the dense reference draw, leaving the
+    generator in the same state."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rings = (PrimeField(2), PrimeField(3), ModRing(6), ModRing(9), ZZ, QQ)
+
+    @hypothesis.settings(derandomize=True, deadline=1000, max_examples=150, database=None)
+    @hypothesis.given(st.sampled_from(SMALL_PROSETS), st.sampled_from(rings),
+                      st.integers(0, 2**32 - 1))
+    def check(pro, ring, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        a = random_invertible(pro, ring, rng)
+        assert is_invertible(a)
+        assert certify(a).matrix is a
+        assert list(IncMatrix(pro, ring, a.entries).entries.items()) == list(a.entries.items())
+        assert a == reference_draw(pro, ring, ref)
+        assert rng.getstate() == ref.getstate()
+
+    check()
+    # every proset and ring once, besides the drawn examples
+    rng = random.Random(211)
+    for pro in SMALL_PROSETS:
+        for ring in rings:
+            a = random_invertible(pro, ring, rng)
+            assert is_invertible(a) and certify(a).matrix is a
+
+
+def test_enumerate_matrices_matches_validated_construction():
+    """The enumeration, in order and entry for entry, against the validating
+    constructor: every proset of at most 3 points over F2, and over Z/6
+    each one with at most 6 order pairs (the 7- and 9-pair ones would take
+    280 thousand and 10 million matrices)."""
+    checked = 0
+    for pro in [p for n in range(1, 4) for p in enumerate_prosets(n)]:
+        pairs = pro.pairs()
+        for ring in (PrimeField(2), ModRing(6)):
+            if ring.n ** len(pairs) > 6**6:
+                continue
+            want = (IncMatrix(pro, ring, dict(zip(pairs, combo)))
+                    for combo in itertools.product(ring.elements(), repeat=len(pairs)))
+            count = 0
+            for got, exp in itertools.zip_longest(enumerate_matrices(pro, ring), want):
+                assert list(got.entries.items()) == list(exp.entries.items())
+                count += 1
+            assert count == ring.n ** len(pairs)
+            checked += 1
+    # all 13 prosets over F2; over Z/6 all but the two 7-pair ones and the 3-point class
+    assert checked == 13 + 10
+
+
+# (block, determinant) on the pivot search's branches, at four points and up
+FORWARD_PIVOT_CASES = [
+    # the remaining block vanishes at the second step: rank 1
+    ([[0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 0),
+    ([[0] * 4 for _ in range(4)], 0),
+    # a zero last pivot: rank 3
+    ([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 0),
+    # column swaps, row swaps and both, on a weighted permutation
+    ([[0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5], [7, 0, 0, 0]], -210),
+    ([[0, 0, 0, 0, 4], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [-1, 0, 0, 0, 0]], -4),
+    ([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 0]], 0),
+]
+
+
+def z6_unit_blocks_without_unit_entries(n, count, rng):
+    """Blocks over Z/6 on the non-units 0, 2, 3 and 4 whose determinant
+    (by the cofactor oracle) is a unit: no entry can serve as a unit pivot."""
+    ring, found = ModRing(6), []
+    while len(found) < count:
+        blk = [[rng.choice((0, 2, 3, 4)) for _ in range(n)] for _ in range(n)]
+        if ring.is_unit(cofactor_det(ring, blk)):
+            found.append(blk)
+    return found
+
+
+def test_det_block_forward_pass_matches_det_adj_and_cofactors():
+    for ring in (ZZ, QQ):
+        for blk, d in FORWARD_PIVOT_CASES:
+            blk = [[ring.canon(x) for x in row] for row in blk]
+            assert det_block(ring, blk) == ring.canon(d) == _det_adj(ring, blk)[0]
+            assert cofactor_det(ring, blk) == ring.canon(d)
+    # sparse blocks with zero rows and columns take swaps at most steps
+    rng = random.Random(223)
+    for _ in range(100):
+        n = rng.randint(4, 7)
+        dead = set(rng.sample(range(n), rng.randint(0, 2)))
+        for ring in (ZZ, QQ, ModRing(6), PrimeField(5)):
+            blk = [[ring.zero if j in dead or rng.random() < 0.5 else ring.canon(ring.random(rng))
+                    for j in range(n)] for _ in range(n)]
+            assert det_block(ring, blk) == _det_adj(ring, blk)[0] == cofactor_det(ring, blk)
+    ring = ModRing(6)
+    for n in (4, 5, 6):
+        for blk in z6_unit_blocks_without_unit_entries(n, 5, rng):
+            d = det_block(ring, blk)
+            assert ring.is_unit(d) and d == _det_adj(ring, blk)[0] == cofactor_det(ring, blk)
+
+
+def test_closure_caps_raise_a_typed_budget_error():
+    """The caps raise SearchBudgetExceeded, which is also a ValueError."""
+    ring = PrimeField(2)
+    with pytest.raises(SearchBudgetExceeded) as err:
+        enumerate_invertibles(two_block(2), ring, cap=5)
+    assert isinstance(err.value, ValueError)
+    gens = [identity(CHAIN3, ring).add(unit(CHAIN3, ring, s1, s2)) for s1, s2 in CHAIN3.strict_pairs()]
+    with pytest.raises(SearchBudgetExceeded) as err:
+        mulclose(gens, cap=len(mulclose(gens)) - 1)
+    assert isinstance(err.value, ValueError)
