@@ -491,10 +491,12 @@ def main(argv=None):
         except BrokenPipeError:
             raise
         except (IncRingError, OSError, ValueError, KeyError) as exc:
+            # a private subclass is reported as the public error it refines
+            name = next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
             print(json.dumps({
                 "invocation": "incring " + " ".join(argv),
                 "version": __version__,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
+                "error": {"type": name, "message": str(exc)},
             }, indent=2, sort_keys=True))
             code = 1
         sys.stdout.flush()

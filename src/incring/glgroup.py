@@ -7,8 +7,7 @@ by block and sums the series of N by repeated squaring on the `IncMatrix.mul`
 kernel.  An n-point class block's determinant and adjugate come from one
 fraction-free Gauss-Jordan elimination (Bareiss) on the block lifted to
 ints, O(n^3) integer operations whose divisions are exact, pivoting over
-the whole remaining block, so Z and Z/n work as well as fields;
-`det_block` runs only its forward pass.
+the whole remaining block, so Z and Z/n work as well as fields.
 
 A random unit is drawn in one pass: per class, the entries of L*D*U are
 summed straight from the random factors, and they go into the matrix
@@ -71,22 +70,10 @@ def _mat_mul(ring, x, y):
     return out
 
 
-def _lift_block(ring, m):
-    """The square block `m` as rows of ints over one scale
-    (`CoeffRing.lift`), and the scale."""
-    n = len(m)
-    ints, scale = ring.lift(dict(enumerate([a for row in m for a in row])))
-    return [[ints[i] for i in range(r, r + n)] for r in range(0, n * n, n)], scale
-
-
 def det_block(ring, m):
     """Determinant of a dense n x n block: the closed form up to n == 3,
-    where it is the faster route, else a determinant-only Bareiss forward
-    elimination on the block lifted to ints, with `_det_adj`'s pivot search:
-    step k takes row_i <- (p_k row_i - a_ik row_k) / p_(k-1) for i > k only,
-    exact by Sylvester's identity, and the last pivot is the determinant.
-    About n^3 / 3 integer operations, a third of `_det_adj`'s, and no
-    adjugate."""
+    where it is the faster route, else `_det_adj`'s fraction-free
+    elimination, O(n^3) integer operations."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -100,24 +87,7 @@ def det_block(ring, m):
             sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
             mul(c, sub(mul(d, h), mul(e, g))),
         )
-    w, scale = _lift_block(ring, m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not w[k][k]:
-            hit = next(((i, j) for i in range(k, n) for j in range(k, n) if w[i][j]), None)
-            if hit is None:
-                return ring.zero
-            i, j = hit
-            w[i], w[k] = w[k], w[i]
-            for r in w[k:]:
-                r[j], r[k] = r[k], r[j]
-            sign *= (-1) ** ((i != k) + (j != k))
-        p, tail = w[k][k], w[k][k + 1:]
-        for wi in w[k + 1:]:
-            a = wi[k]
-            wi[k + 1:] = [(p * x - a * y) // prev for x, y in zip(wi[k + 1:], tail)]
-        prev = p
-    return ring.lower_all((sign * w[-1][-1],), scale ** n)[0]
+    return _det_adj(ring, m)[0]
 
 
 def _det_adj(ring, m):
@@ -138,7 +108,8 @@ def _det_adj(ring, m):
     and only the determinant (at scale^n) and the adjugate (at
     scale^(n-1)) are lowered back into the ring."""
     n = len(m)
-    w, scale = _lift_block(ring, m)
+    ints, scale = ring.lift(dict(enumerate([a for row in m for a in row])))
+    w = [[ints[i] for i in range(r, r + n)] for r in range(0, n * n, n)]
     swaps, sign, prev = [], 1, 1
     for k in range(n):
         if not w[k][k]:
@@ -420,8 +391,8 @@ def random_invertible(pro, ring, rng):
     between distinct classes, in `pairs()` order.  A one-point class is its
     unit, and a larger block is summed straight from its factors (`_ldu`).
     The values are canonical, nonzero and on the order by construction, so
-    the matrix is built without re-validation, and a draw costs 1.2-1.5
-    products of the same matrix."""
+    the matrix is built without re-validation.  On the 5-chain a draw costs
+    about one product of the same matrix; on one 3-point class, 3 to 5."""
     units = _unit_sample(ring)
     if ring.one not in units:
         units = units + [ring.one]

@@ -90,6 +90,21 @@ def test_domain_error_is_exit_1(capsys):
     assert report["error"]["type"] == "NotInvertible"
 
 
+def test_private_error_is_reported_by_its_public_class(capsys, monkeypatch):
+    """A closure cap raises a private subclass of SearchBudgetExceeded and
+    ValueError; the report names the public class."""
+    from incring import glgroup
+    from incring.errors import _ClosureCapExceeded
+
+    def capped(m):
+        raise _ClosureCapExceeded("closure exceeded 1 elements")
+
+    monkeypatch.setattr(glgroup, "invert", capped)
+    code, out = run(capsys, "group", "invert", "--input", ID2)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "SearchBudgetExceeded", "message": "closure exceeded 1 elements"}
+
+
 def test_closure_of_unknown_label_is_exit_1(capsys):
     pro = json.dumps({"elements": [0, 1, 2], "relations": [[0, 1], [1, 2]]})
     code, out = run(capsys, "proset", "closure", "--proset", pro, "--subset", "0,9")

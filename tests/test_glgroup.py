@@ -799,7 +799,7 @@ def test_enumerate_matrices_matches_validated_construction():
 
 
 # (block, determinant) on the pivot search's branches, at four points and up
-FORWARD_PIVOT_CASES = [
+LARGE_PIVOT_CASES = [
     # the remaining block vanishes at the second step: rank 1
     ([[0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 0),
     ([[0] * 4 for _ in range(4)], 0),
@@ -823,9 +823,9 @@ def z6_unit_blocks_without_unit_entries(n, count, rng):
     return found
 
 
-def test_det_block_forward_pass_matches_det_adj_and_cofactors():
+def test_det_block_matches_det_adj_and_cofactors():
     for ring in (ZZ, QQ):
-        for blk, d in FORWARD_PIVOT_CASES:
+        for blk, d in LARGE_PIVOT_CASES:
             blk = [[ring.canon(x) for x in row] for row in blk]
             assert det_block(ring, blk) == ring.canon(d) == _det_adj(ring, blk)[0]
             assert cofactor_det(ring, blk) == ring.canon(d)
