@@ -134,4 +134,9 @@ class NoValidCutPair(IncRingError):
 class MalformedInput(IncRingError):
     """A JSON input or a call's arguments lack a required key or part, hold a
     value of the wrong shape or range (a non-object where an object belongs,
-    an array of the wrong length), or name no known ring or family."""
+    an array of the wrong length), or name no known ring, family or mode."""
+
+
+class _UnknownMode(MalformedInput, ValueError):
+    """A call named a mode outside its documented set.  Also a ValueError,
+    so callers that caught the old bare ValueError keep working."""

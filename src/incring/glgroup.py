@@ -305,7 +305,7 @@ def is_scalar_unit(matrix):
 
 def _unit_sample(ring):
     if ring.finite:
-        return list(ring.units())
+        return ring.units()
     if ring.name == "Z":
         return [-1]
     return [ring.canon(2)]
@@ -395,7 +395,7 @@ def random_invertible(pro, ring, rng):
     about one product of the same matrix; on one 3-point class, 3 to 5."""
     units = _unit_sample(ring)
     if ring.one not in units:
-        units = units + [ring.one]
+        units = [*units, ring.one]
     draw, choice, zero = ring.random, rng.choice, ring.zero
     entries = {}
     for c in pro.classes():

@@ -77,7 +77,14 @@ class CoeffRing:
         raise ValueError("infinite ring has no element enumeration")
 
     def units(self):
-        return [a for a in self.elements() if self.is_unit(a)]
+        """The units of a finite ring, in element order, as a tuple listed on
+        the first call and kept on the ring object (one gcd per element over
+        Z/n), as `RationalRing._draws` keeps the values Q draws."""
+        try:
+            return self._units
+        except AttributeError:
+            self._units = tuple(a for a in self.elements() if self.is_unit(a))
+            return self._units
 
     def boolean_part(self):
         """frozenset {a : a*a == a}.  Finite rings scan; Z and Q know theirs."""

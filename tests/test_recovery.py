@@ -8,6 +8,7 @@ import pytest
 
 from incring.errors import (
     HypothesisViolation,
+    MalformedInput,
     NotIdempotent,
     PosetRequired,
     RingBooleanPartTooLarge,
@@ -21,6 +22,7 @@ from incring.recovery import (
     MatrixAccess,
     _access_nilpotent,
     _add_atom,
+    _primitive_split,
     _squarings,
     b_of,
     class_equiv,
@@ -112,6 +114,48 @@ def recover_by_classes(access):
     if len(atoms) + len(rel) != access.dim:
         raise HypothesisViolation("not the incidence ring of a poset")
     return Proset(range(len(atoms)), rel)
+
+
+def split_by_scan(access, idems):
+    """The split of 1 by scanning `idems`, every nonzero idempotent in
+    element order, for each node's first sub-idempotent: the oracle for the
+    corner-ring test of `_primitive_split` and its lazily read idempotents."""
+    one = access.one()
+    leaves, stack = [], [] if access.is_zero(one) else [one]
+    while stack:
+        if len(leaves) + len(stack) > access.dim:
+            raise HypothesisViolation(
+                "1 splits into more than %d orthogonal idempotents: not the incidence ring "
+                "of a poset" % access.dim)
+        e = stack.pop()
+        for f in idems:
+            if f != e and access.mul(e, f) == f and access.mul(f, e) == f:
+                stack += [access.add(e, access.neg(f)), f]
+                break
+        else:
+            leaves.append(e)
+    return leaves
+
+
+def assert_split_matches_scan(access):
+    """The same leaves, with the same values in the same order, as the scan
+    over every idempotent; each with its products e.b over the basis, or
+    None where the scan made it a leaf.  A table the scan refuses is refused
+    with the same message.  Returns the split."""
+    idems = [x for x in access.elements() if not access.is_zero(x) and access.mul(x, x) == x]
+    basis = access.basis()
+    try:
+        want = split_by_scan(access, idems)
+    except HypothesisViolation as err:
+        with pytest.raises(HypothesisViolation) as got:
+            _primitive_split(access, basis)
+        assert str(got.value) == str(err)
+        return None
+    got = _primitive_split(access, basis)
+    assert [e for e, _ in got] == want
+    for e, eb in got:
+        assert eb is None or eb == [access.mul(e, b) for b in basis]
+    return got
 
 
 def unit_bundle(pro, ring):
@@ -427,7 +471,7 @@ def test_kernel_keeps_operation_counts():
     fast, slow = BundleAccess(bundle, ring), DenseBundleAccess(bundle, ring)
     rec_fast = recover_poset(fast, mode="exhaustive")
     rec_slow = recover_poset(slow, mode="exhaustive")
-    assert fast.ops == slow.ops == 117
+    assert fast.ops == slow.ops == 54
     assert rec_fast.elements == rec_slow.elements
     assert rec_fast.pairs() == rec_slow.pairs()
     assert rec_fast.poset_isomorphic(VEE) is not None
@@ -510,6 +554,77 @@ def test_split_of_one_matches_class_oracle_off_posets():
         classes = recover_by_classes(BundleAccess(bundle, ring))
         assert split.poset_isomorphic(pro) is not None
         assert classes.poset_isomorphic(pro) is not None
+
+
+@pytest.mark.parametrize("ring, most", [
+    (PrimeField(2), 4), (PrimeField(3), 3), (ModRing(4), 3), (PrimeField(5), 2), (ModRing(9), 2),
+], ids=str)
+def test_split_matches_the_scan_over_every_idempotent(ring, most):
+    """Every poset of at most `most` points, on three scrambles each, and on
+    the honest matrices of every poset of at most 3 points (2 over Z/9): the
+    corner-ring test and the lazy scan split 1 exactly as the full scan,
+    and every primitive of an incidence ring is certified in its corner."""
+    accesses = [BundleAccess(scramble(pro, ring, seed=seed)[0], ring)
+                for n in range(1, most + 1) for pro in enumerate_posets(n) for seed in range(3)]
+    accesses += [MatrixAccess(pro, ring) for n in range(1, min(most, 3) + 1)
+                 for pro in enumerate_posets(n)]
+    for access in accesses:
+        assert all(eb is not None for _, eb in assert_split_matches_scan(access))
+
+
+def test_split_matches_the_scan_off_posets():
+    """GF(4), whose one nonzero idempotent is 1; M_2(F2) and M_2 below a
+    point; the non-associative table; the zero identities."""
+    ring = PrimeField(2)
+    a, b, c = ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]
+    tables = [
+        GF4,
+        unit_bundle(Proset([0, 1], [(0, 1), (1, 0)]), ring),
+        unit_bundle(Proset([0, 1, 2], [(0, 1), (1, 0), (1, 2)]), ring),
+        {"dim": 3, "table": [[a, b, a], [b, b, c], [a, c, c]], "one": a},
+        {"dim": 0, "table": [], "one": []},
+        {"dim": 1, "table": [[["0"]]], "one": ["0"]},
+    ]
+    for table in tables:
+        assert_split_matches_scan(BundleAccess(table, ring))
+
+
+def test_exhaustive_recovery_squares_part_of_the_carrier():
+    """A scrambled 4-chain over F2 has 1,024 elements; the split reads its
+    idempotents lazily and certifies each primitive in its corner ring, so
+    the whole recovery spends fewer ring operations than one squaring of
+    every element would."""
+    chain4 = Proset(range(4), [(0, 1), (1, 2), (2, 3)])
+    for seed in range(3):
+        bundle, _ = scramble(chain4, PrimeField(2), seed=seed)
+        access = BundleAccess(bundle, PrimeField(2))
+        assert access.carrier_size() == 1024
+        assert recover_poset(access, mode="exhaustive").poset_isomorphic(chain4) is not None
+        assert access.ops < 1024
+
+
+def test_auto_recovers_the_five_point_posets_of_dimension_14():
+    """Their carriers over F2 hold exactly 2^14 elements, the most `auto`
+    enumerates; the bundles carry no samples, so only exhaustive mode can
+    recover them."""
+    posets = [pro for pro in enumerate_posets(5) if len(pro.pairs()) == 14]
+    assert len(posets) == 4
+    for pro in posets:
+        bundle, _ = scramble(pro, PrimeField(2), seed=0)
+        access = BundleAccess(bundle, PrimeField(2))
+        assert access.carrier_size() == 2**14
+        assert recover_poset(access).poset_isomorphic(pro) is not None
+
+
+def test_unknown_mode_is_a_typed_value_error():
+    """A mode outside auto, exhaustive and witness raises MalformedInput,
+    which is also the ValueError it raised before."""
+    _, access = scramble(CHAIN3, PrimeField(2), seed=0)
+    with pytest.raises(MalformedInput) as err:
+        recover_poset(access, mode="x")
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == "mode must be auto, exhaustive, or witness, not 'x'"
+    assert access.ops == 0
 
 
 def test_split_of_one_refuses_a_non_associative_table():

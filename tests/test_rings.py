@@ -41,6 +41,17 @@ def test_unit_lists_match_predicate():
         assert sorted(ring.units()) == sorted(a for a in ring.elements() if ring.is_unit(a))
 
 
+def test_unit_list_is_kept_per_ring():
+    """The first call lists the units in element order; later calls on the
+    same ring return that tuple and test no element again.  A second ring
+    of the same modulus lists its own."""
+    ring = ModRing(12)
+    assert ring.units() == (1, 5, 7, 11)
+    ring.is_unit = None  # any further test would fail
+    assert ring.units() is ring.units()
+    assert ModRing(12).units() == (1, 5, 7, 11)
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_boolean_part(ring):
     bp = ring.boolean_part()
