@@ -140,3 +140,9 @@ class MalformedInput(IncRingError):
 class _UnknownMode(MalformedInput, ValueError):
     """A call named a mode outside its documented set.  Also a ValueError,
     so callers that caught the old bare ValueError keep working."""
+
+
+class _MalformedArgument(MalformedInput, ValueError):
+    """A call's argument has a part of the wrong shape: an empty augmentation
+    set, or two coefficient ideals in one sum.  Also a ValueError, as
+    `_UnknownMode` is."""

@@ -24,7 +24,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import HypothesisViolation, MalformedInput, NotInvertible, _ClosureCapExceeded
-from .matrices import IncMatrix, _raw, identity, unit
+from .matrices import IncMatrix, _raw, ideal_membership, identity, unit
 from .prosets import elem_key, two_block
 from .rings import PrimeField
 
@@ -269,18 +269,12 @@ def commutator(g, h):
 
 
 def normal_subgroup_membership(g, ideal):
-    """Identity pattern on the region of an interval / convex / locally convex
-    ideal: diagonal ones and vanishing strict entries inside the region."""
+    """Whether g lies in the congruence subgroup of `ideal`, the units
+    congruent to 1 modulo it: `ideal_membership(g - 1, ideal)`.  For a
+    vanishing ideal that is the identity pattern on its region, for M(J)
+    every entry of g - 1 in J."""
     matrix = g.matrix if isinstance(g, GroupElement) else g
-    ring = matrix.ring
-    for (a, b) in ideal.region(matrix.pro):
-        v = matrix.entry(a, b)
-        if a == b:
-            if v != ring.one:
-                return False
-        elif v != ring.zero:
-            return False
-    return True
+    return ideal_membership(matrix.sub(identity(matrix.pro, matrix.ring)), ideal)
 
 
 def quotient_project(g, subset):

@@ -22,7 +22,7 @@ per stored operand entry, instead of a Fraction normalisation per term.
 
 from math import lcm
 
-from .errors import IncompatibleOperands, NotComparable, NotConvex
+from .errors import IncompatibleOperands, NotComparable, NotConvex, _MalformedArgument
 from .prosets import _raise_unknown, elem_key
 
 __all__ = [
@@ -216,10 +216,6 @@ def scalar_diag(pro, ring, p):
 
 def indicator(pro, ring, subset):
     """1^S: ones on the diagonal of S.  indicator(all elements) is the identity."""
-    subset = set(subset)
-    for s in subset:
-        if s not in pro:
-            raise ValueError("%r is not an element" % (s,))
     return IncMatrix(pro, ring, {(s, s): ring.one for s in subset})
 
 
@@ -252,6 +248,11 @@ def join_components(pieces, pro, ring):
 # ---------------------------------------------------------------------------
 
 
+def _pairs_within(pro, subset):
+    """The order pairs with both ends in `subset`."""
+    return {(a, b) for a in subset for b in subset if pro.leq(a, b)}
+
+
 class IntervalIdeal:
     """I_[s1,s2]: matrices vanishing on every pair inside the interval."""
 
@@ -262,7 +263,7 @@ class IntervalIdeal:
         box = pro.interval(self.s1, self.s2)
         if not box:
             raise NotComparable("[%r, %r] is empty" % (self.s1, self.s2))
-        return {(a, b) for a in box for b in box if pro.leq(a, b)}
+        return _pairs_within(pro, box)
 
     def constraint(self):
         return "zero"
@@ -277,7 +278,7 @@ class ConvexIdeal:
     def region(self, pro):
         if not pro.is_convex(self.subset):
             raise NotConvex("ideal subset is not convex")
-        return {(a, b) for a in self.subset for b in self.subset if pro.leq(a, b)}
+        return _pairs_within(pro, self.subset)
 
     def constraint(self):
         return "zero"
@@ -298,14 +299,9 @@ class LocallyConvexIdeal:
             for b in self.subsets[i + 1:]:
                 if a & b:
                     raise NotConvex("collection members overlap")
-                for x in a:
-                    for y in b:
-                        if pro.leq(x, y) or pro.leq(y, x):
-                            raise NotConvex("collection members are comparable")
-        out = set()
-        for s in self.subsets:
-            out |= {(a, b) for a in s for b in s if pro.leq(a, b)}
-        return out
+                if any(pro._comparables(x, b) for x in a):
+                    raise NotConvex("collection members are comparable")
+        return set().union(*(_pairs_within(pro, s) for s in self.subsets))
 
     def constraint(self):
         return "zero"
@@ -326,7 +322,8 @@ class CoeffIdeal:
 
 
 class SumIdeal:
-    """Sum of ideals; membership is the per-coordinate sum of constraints."""
+    """Sum of ideals, at most one of them a coefficient ideal; membership is
+    the per-coordinate sum of constraints.  SumIdeal([]) is the zero ideal."""
 
     def __init__(self, parts):
         self.parts = tuple(parts)
@@ -341,32 +338,18 @@ def ideal_membership(matrix, ideal):
 
     Every primitive ideal is a per-coordinate condition: zero on a region for
     the vanishing ideals, membership in J everywhere for a coefficient ideal.
-    A sum of such ideals is again per-coordinate, and the allowed set at a
-    coordinate is the largest one contributed ({0} < J < whole ring), so
-    membership in sums reduces to taking a coordinatewise maximum.
+    A sum of them allows at each pair the largest set a part allows there
+    ({0} < J < whole ring), so only stored entries are scanned: one is free
+    where some vanishing part leaves its pair out, else it must lie in J when
+    a coefficient part is summed in, else it must vanish.
     """
-    pro = matrix.pro
     parts = ideal.parts if isinstance(ideal, SumIdeal) else (ideal,)
-    coeff_parts = [p for p in parts if p.constraint() == "coeff"]
-    if len(coeff_parts) > 1:
-        raise ValueError("at most one coefficient ideal per sum")
-    coeff = coeff_parts[0] if coeff_parts else None
-    # level per coordinate: 0 must vanish, 1 must lie in J, 2 unconstrained
-    levels = {}
-    for part in parts:
-        if part.constraint() == "coeff":
-            lvl = 1
-        else:
-            lvl = 0
-        reg = part.region(pro)
-        for pair in pro.pairs():
-            here = lvl if (pair in reg or lvl == 1) else 2
-            levels[pair] = max(levels.get(pair, -1), here)
-    zero_val = matrix.ring.zero
-    for pair, lvl in levels.items():
-        v = matrix.entry(*pair)
-        if lvl == 0 and v != zero_val:
-            return False
-        if lvl == 1 and v != zero_val and not coeff.member(v):
+    coeffs = [p for p in parts if p.constraint() == "coeff"]
+    if len(coeffs) > 1:
+        raise _MalformedArgument("at most one coefficient ideal per sum")
+    regions = [p.region(matrix.pro) for p in parts if p.constraint() == "zero"]
+    member = coeffs[0].member if coeffs else None
+    for pair, v in matrix.entries.items():
+        if all(pair in r for r in regions) and (member is None or not member(v)):
             return False
     return True

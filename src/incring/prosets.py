@@ -22,6 +22,7 @@ from .errors import (
     NotConvex,
     OverlappingAugmentation,
     UnknownElement,
+    _MalformedArgument,
 )
 
 __all__ = [
@@ -736,8 +737,12 @@ class NStarDivFamily(ProsetFamily):
 class AugmentedFamily(ProsetFamily):
     """A base family with finitely many finite sets each closed into one class.
 
-    The closure is mediated by a finite hub graph: set i reaches set j when
-    some element of set i sits below some element of set j in the base order.
+    The family keeps, once, the finite proset `base.restrict(hub points)
+    .augment(sets)` on the hub points, the union of the sets.  s <= t when
+    the base has s <= t, or has s <= x and y <= t for hub points x <= y of
+    that proset.  So [s1, s2] is the union of the base intervals running
+    from s1 and the hub points above it to s2 and the hub points below it,
+    and up- and down-sets are the unions of the base ones from those points.
     """
 
     kind = "Augmented"
@@ -745,81 +750,45 @@ class AugmentedFamily(ProsetFamily):
     def __init__(self, base, sets):
         self.base = base
         self.sets = tuple(frozenset(s) for s in sets)
-        taken = set()
         for s in self.sets:
             if not s:
-                raise ValueError("augmentation sets must be nonempty")
+                raise _MalformedArgument("augmentation sets must be nonempty")
             for x in s:
                 if not base.contains(x):
                     raise UnknownElement("%r is not in the base family" % (x,))
-            if s & taken:
-                raise OverlappingAugmentation(
-                    "augmentation sets overlap at %r" % (_sorted(s & taken),)
-                )
-            taken |= s
-        hubs = range(len(self.sets))
-        self._reach = _close(hubs, [
-            (i, j) for i in hubs for j in hubs
-            if i != j and any(base.leq(q, t) for q in self.sets[i] for t in self.sets[j])
-        ])
+        self._hub = base.restrict(frozenset().union(*self.sets)).augment(self.sets)
 
     def contains(self, s):
         return self.base.contains(s)
 
-    def _up_hubs(self, s):
-        n = len(self.sets)
-        entry = [any(self.base.leq(s, t) for t in self.sets[i]) for i in range(n)]
-        return [j for j in range(n) if any(entry[i] and j in self._reach[i] for i in range(n))]
+    def _from(self, s):
+        """s and the hub points above it."""
+        leq, up = self.base.leq, self._hub._up
+        return {s}.union(*(up[x] for x in self._hub.elements if leq(s, x)))
 
-    def _down_hubs(self, s):
-        n = len(self.sets)
-        exit_ = [any(self.base.leq(q, s) for q in self.sets[j]) for j in range(n)]
-        return [i for i in range(n) if any(j in self._reach[i] and exit_[j] for j in range(n))]
+    def _to(self, s):
+        """s and the hub points below it."""
+        leq, down = self.base.leq, self._hub._down
+        return {s}.union(*(down[y] for y in self._hub.elements if leq(y, s)))
 
     def leq(self, s1, s2):
-        if self.base.leq(s1, s2):
-            return True
-        return bool(set(self._up_hubs(s1)) & set(self._down_hubs(s2)))
+        leq = self.base.leq
+        return any(leq(u, s2) for u in self._from(s1))
 
     def interval(self, s1, s2):
+        base, ends = self.base, self._to(s2)
         out = set()
-        if self.base.leq(s1, s2):
-            out |= set(self.base.interval(s1, s2))
-        ups = self._up_hubs(s1)
-        downs = self._down_hubs(s2)
-        for i in downs:
-            for t in self.sets[i]:
-                if self.base.leq(s1, t):
-                    out |= set(self.base.interval(s1, t))
-        for j in ups:
-            for q in self.sets[j]:
-                if self.base.leq(q, s2):
-                    out |= set(self.base.interval(q, s2))
-        for j in ups:
-            for q in self.sets[j]:
-                for i in downs:
-                    for t in self.sets[i]:
-                        if self.base.leq(q, t):
-                            out |= set(self.base.interval(q, t))
-        if not out:
-            return ()
+        for u in self._from(s1):
+            for v in ends:
+                if base.leq(u, v):
+                    out.update(base.interval(u, v))
         return _sorted(out)
 
     def up_set(self, s):
-        out = set(self.base.up_set(s))
-        for j in self._up_hubs(s):
-            for q in self.sets[j]:
-                out |= set(self.base.up_set(q))
-                out.add(q)
-        return _sorted(out)
+        return _sorted(set().union(*map(self.base.up_set, self._from(s))))
 
     def down_set(self, s):
-        out = set(self.base.down_set(s))
-        for i in self._down_hubs(s):
-            for t in self.sets[i]:
-                out |= set(self.base.down_set(t))
-                out.add(t)
-        return _sorted(out)
+        return _sorted(set().union(*map(self.base.down_set, self._to(s))))
 
     def is_poset(self):
         return all(len(s) == 1 for s in self.sets) and self.base.is_poset()
@@ -828,11 +797,9 @@ class AugmentedFamily(ProsetFamily):
         return self.base.is_z_like()
 
     def window(self, k):
-        hub = set().union(*self.sets) if self.sets else set()
         need = k
         while True:
-            w = set(self.base.window(need)) | hub
-            w = set(interval_closure(self, w))
+            w = interval_closure(self, set(self.base.window(need)).union(self._hub.elements))
             if self.is_convex(w):
                 return _sorted(w)
             need += 1

@@ -31,7 +31,16 @@ from incring.glgroup import (
     random_invertible,
     transpose_op_iso,
 )
-from incring.matrices import ConvexIdeal, IncMatrix, identity, scalar_diag, unit, zero
+from incring.matrices import (
+    CoeffIdeal,
+    ConvexIdeal,
+    IncMatrix,
+    SumIdeal,
+    identity,
+    scalar_diag,
+    unit,
+    zero,
+)
 from incring.prosets import Proset, elem_key, two_block
 from incring.rings import ModRing, PrimeField, QQ, ZZ
 from incring.samples import enumerate_posets, enumerate_prosets, random_matrix, random_proset
@@ -146,6 +155,24 @@ def test_normal_subgroup_membership():
     assert normal_subgroup_membership(GroupElement(g), ConvexIdeal([0, 1]))
     h = identity(CHAIN3, PrimeField(5)).add(unit(CHAIN3, PrimeField(5), 0, 1, 2))
     assert not normal_subgroup_membership(GroupElement(h), ConvexIdeal([0, 1]))
+
+
+def test_normal_subgroup_membership_of_coefficient_and_sum_ideals():
+    """The congruence subgroup of any ideal I is the units g with g - 1 in I."""
+    two_z = CoeffIdeal(lambda v: v % 2 == 0, label="2Z")
+    one = identity(CHAIN3, ZZ)
+    g = one.add(unit(CHAIN3, ZZ, 0, 1, 2))  # 1 + 2 e01
+    assert normal_subgroup_membership(certify(g), two_z)
+    assert not normal_subgroup_membership(one.add(unit(CHAIN3, ZZ, 0, 1, 3)), two_z)
+    assert normal_subgroup_membership(scalar_diag(CHAIN3, ZZ, -1), two_z)  # -1 = 1 mod 2
+    summed = SumIdeal([two_z, ConvexIdeal([0, 1])])
+    assert normal_subgroup_membership(g, summed)
+    # 3 at (1, 2) lies outside the [0, 1] block, so the sum absorbs it
+    assert normal_subgroup_membership(one.add(unit(CHAIN3, ZZ, 1, 2, 3)), summed)
+    assert not normal_subgroup_membership(one.add(unit(CHAIN3, ZZ, 0, 1, 3)), summed)
+    # the empty sum is the zero ideal: only the identity is congruent to 1
+    assert normal_subgroup_membership(one, SumIdeal([]))
+    assert not normal_subgroup_membership(g, SumIdeal([]))
 
 
 def test_quotient_project_kernel_exhaustive():

@@ -13,7 +13,13 @@ from itertools import combinations
 
 import pytest
 
-from incring.errors import IncompatibleOperands, NotComparable, NotConvex, UnknownElement
+from incring.errors import (
+    IncompatibleOperands,
+    MalformedInput,
+    NotComparable,
+    NotConvex,
+    UnknownElement,
+)
 from incring.matrices import (
     CoeffIdeal,
     ConvexIdeal,
@@ -377,3 +383,39 @@ def test_identity_in_no_proper_ideal():
     assert not ideal_membership(e, ConvexIdeal([0, 1]))
     assert not ideal_membership(e, IntervalIdeal(0, 2))
     assert not ideal_membership(e, CoeffIdeal(lambda v: v % 2 == 0))
+
+
+def test_empty_sum_is_the_zero_ideal():
+    assert ideal_membership(zero(CHAIN3, ZZ), SumIdeal([]))
+    assert not ideal_membership(unit(CHAIN3, ZZ, 1, 2), SumIdeal([]))
+    assert not ideal_membership(identity(CHAIN3, ZZ), SumIdeal([]))
+
+
+def test_two_coefficient_ideals_in_one_sum_are_malformed_input():
+    even = CoeffIdeal(lambda v: v % 2 == 0)
+    both = SumIdeal([even, ConvexIdeal([0]), CoeffIdeal(lambda v: v % 3 == 0)])
+    with pytest.raises(MalformedInput, match="at most one coefficient ideal per sum"):
+        ideal_membership(zero(CHAIN3, ZZ), both)
+    with pytest.raises(ValueError):
+        ideal_membership(zero(CHAIN3, ZZ), SumIdeal([even, even]))
+
+
+def test_indicator_of_an_unknown_label_is_typed():
+    with pytest.raises(UnknownElement, match="9 is not an element of the proset"):
+        indicator(CHAIN3, ZZ, [0, 9])
+
+
+def test_vanishing_ideals_refuse_bad_regions():
+    pro = Proset([0, 1, 2, "a"], [(0, 1), (1, 2)])
+    m = zero(pro, ZZ)
+    with pytest.raises(NotComparable, match=r"\[2, 0\] is empty"):
+        ideal_membership(m, IntervalIdeal(2, 0))
+    with pytest.raises(NotConvex, match="ideal subset is not convex"):
+        ideal_membership(m, ConvexIdeal([0, 2]))
+    with pytest.raises(NotConvex, match="collection member is not convex"):
+        ideal_membership(m, LocallyConvexIdeal([[0, 2], ["a"]]))
+    with pytest.raises(NotConvex, match="collection members overlap"):
+        ideal_membership(m, LocallyConvexIdeal([[0, 1], [1, 2]]))
+    with pytest.raises(NotConvex, match="collection members are comparable"):
+        ideal_membership(m, LocallyConvexIdeal([[0], [2]]))
+    assert ideal_membership(m, LocallyConvexIdeal([[0, 1], ["a"]]))

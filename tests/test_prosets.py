@@ -1,6 +1,7 @@
 """Preordered sets: closure, intervals, convexity, families, enumeration."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from incring.errors import (
     InfiniteNeighborhood,
     LocalFinitenessBudgetExceeded,
+    MalformedInput,
     NotComparable,
     NotConnected,
     UnknownElement,
@@ -307,6 +309,78 @@ def test_augmented_family_closes_chained_hubs():
         for b in win:
             assert fam.leq(a, b) == finite.leq(a, b)
             assert set(fam.interval(a, b)) == set(finite.interval(a, b))
+
+
+def _augmented_cases(rng, count):
+    """Random disjoint augmentation sets over each base, with a window W of
+    the base around them, convex in the augmented order, and the points of W
+    whose base up- and down-sets stay inside W."""
+    for k in range(count):
+        base = (ZFamily(), NFamily(), ZigFamily(), NStarDivFamily())[k % 4]
+        pool = list(range(1, 13) if isinstance(base, NStarDivFamily) else range(-6, 7))
+        if isinstance(base, NFamily):
+            pool = list(range(0, 13))
+        rng.shuffle(pool)
+        sets, used = [], 0
+        for _ in range(rng.randint(0, 4)):
+            size = rng.randint(1, 3)
+            sets.append(frozenset(pool[used:used + size]))
+            used += size
+        hubs = pool[:used] or [pool[0]]
+        if isinstance(base, NStarDivFamily):
+            window = base.interval(1, math.lcm(*hubs))
+            inner = window
+        else:
+            lo, hi = min(hubs) - 3, max(hubs) + 3
+            lo, hi = lo - lo % 2 + 1, hi + hi % 2 - 1  # odd ends: Zig's evens keep both neighbours
+            if isinstance(base, NFamily):
+                lo = 0
+            window = range(lo, hi + 1)
+            inner = range(lo + 1, hi)
+        yield base, sets, window, inner
+
+
+def test_augmented_family_matches_augmenting_a_window():
+    """Seeded oracle: on a convex window W around random sets, the family
+    answers as the finite augmentation base.restrict(W).augment(sets)."""
+    rng = random.Random(24)
+    for base, sets, window, inner in _augmented_cases(rng, 400):
+        fam = AugmentedFamily(base, sets)
+        finite = base.restrict(window).augment(sets)
+        points = sorted(rng.sample(list(window), min(9, len(window))))
+        for a in points:
+            assert fam.equiv_class(a) == finite.equiv_class(a)
+            for b in points:
+                assert fam.leq(a, b) == finite.leq(a, b), (base, sets, a, b)
+                assert fam.interval(a, b) == finite.interval(a, b), (base, sets, a, b)
+        if isinstance(base, ZigFamily):
+            for a in inner:
+                assert set(fam.up_set(a)) == finite.up_set(a)
+                assert set(fam.down_set(a)) == finite.down_set(a)
+        if isinstance(base, NStarDivFamily):
+            for a in points:
+                assert set(fam.down_set(a)) == finite.down_set(a)
+
+
+def test_augmented_family_predicates_and_far_hub_window():
+    assert AugmentedFamily(ZigFamily(), [{0}, {3}]).is_poset()
+    assert not AugmentedFamily(ZigFamily(), [{0, 3}]).is_poset()
+    assert AugmentedFamily(ZFamily(), [{0, 3}]).is_z_like()
+    assert not AugmentedFamily(ZigFamily(), [{0, 3}]).is_z_like()
+    # the base window grows until it reaches the hub at 10 through 9
+    fam = AugmentedFamily(ZigFamily(), [{10}])
+    win = fam.window(1)
+    assert win == tuple(range(-9, 11))
+    assert fam.is_convex(win)
+    assert NStarDivFamily().down_set(12) == (1, 2, 3, 4, 6, 12)
+
+
+def test_empty_augmentation_set_is_malformed_input():
+    for base in (ZFamily(), ZigFamily()):
+        with pytest.raises(MalformedInput, match="augmentation sets must be nonempty"):
+            AugmentedFamily(base, [{0}, set()])
+        with pytest.raises(ValueError):
+            AugmentedFamily(base, [frozenset()])
 
 
 def test_custom_family_budget():
