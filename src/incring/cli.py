@@ -178,20 +178,19 @@ def cmd_proset(args):
         pro = proset_from_json(_load_ref(args.proset))
         subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
         return _emit(args, {"closure": sorted(pro.convex_closure(subset), key=elem_key)})
-    if args.action == "check":
-        pro = proset_from_json(_load_ref(args.proset))
-        payload, legend = _proset_payload(pro)
-        out = {
-            "proset": payload,
-            "is_poset": pro.is_poset(),
-            "irreducible": pro.is_irreducible(),
-            "components": len(pro.components()),
-            "classes": len(pro.classes()),
-        }
-        if legend:
-            out["legend"] = legend
-        return _emit(args, out)
-    raise IncRingError("unknown proset action %r" % (args.action,))
+    # check: argparse admits no other action
+    pro = proset_from_json(_load_ref(args.proset))
+    payload, legend = _proset_payload(pro)
+    out = {
+        "proset": payload,
+        "is_poset": pro.is_poset(),
+        "irreducible": pro.is_irreducible(),
+        "components": len(pro.components()),
+        "classes": len(pro.classes()),
+    }
+    if legend:
+        out["legend"] = legend
+    return _emit(args, out)
 
 
 # -- algebra -------------------------------------------------------------------
@@ -205,11 +204,10 @@ def cmd_algebra(args):
         b = matrix_from_json(_load_ref(args.b))
         out = a.mul(b) if args.action == "mul" else a.add(b)
         return _emit(args, {"result": matrix_to_json(out)})
-    if args.action == "project":
-        a = matrix_from_json(_load_ref(args.a))
-        subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
-        return _emit(args, {"result": matrix_to_json(a.project(subset))})
-    raise IncRingError("unknown algebra action %r" % (args.action,))
+    # project: argparse admits no other action
+    a = matrix_from_json(_load_ref(args.a))
+    subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
+    return _emit(args, {"result": matrix_to_json(a.project(subset))})
 
 
 # -- group ----------------------------------------------------------------------
@@ -236,12 +234,11 @@ def cmd_group(args):
         b = matrix_from_json(_load_ref(args.b))
         c = commutator(GroupElement(a), GroupElement(b))
         return _emit(args, {"commutator": matrix_to_json(c.matrix)})
-    if args.action == "random":
-        pro = proset_from_json(_load_ref(args.proset))
-        ring = _ring_arg(args.ring)
-        rng = random.Random(args.seed)
-        return _emit(args, {"matrix": matrix_to_json(random_invertible(pro, ring, rng))})
-    raise IncRingError("unknown group action %r" % (args.action,))
+    # random: argparse admits no other action
+    pro = proset_from_json(_load_ref(args.proset))
+    ring = _ring_arg(args.ring)
+    rng = random.Random(args.seed)
+    return _emit(args, {"matrix": matrix_to_json(random_invertible(pro, ring, rng))})
 
 
 # -- lazy -----------------------------------------------------------------------
@@ -266,12 +263,11 @@ def cmd_lazy(args):
         prod = lazy_mul(a, b)
         payload = {} if prod.finitary is None else {"product": lazy_to_json(prod)}
         return _emit(args, _window_payload(payload, prod, a.family, args.window))
-    if args.action == "qz":
-        fam = _family_arg(args.family)
-        ring = _ring_arg(args.ring)
-        window, inner = _need(args.window, "--window"), _need(args.inner, "--inner")
-        return _emit(args, {"report": _qz_report(fam, ring, window, inner)})
-    raise IncRingError("unknown lazy action %r" % (args.action,))
+    # qz: argparse admits no other action
+    fam = _family_arg(args.family)
+    ring = _ring_arg(args.ring)
+    window, inner = _need(args.window, "--window"), _need(args.inner, "--inner")
+    return _emit(args, {"report": _qz_report(fam, ring, window, inner)})
 
 
 # -- recover --------------------------------------------------------------------
@@ -339,17 +335,16 @@ def cmd_functor(args):
             "leg1": {str(s): names[q1(s)] for s in q1.domain.elements},
             "leg2": {str(s): names[q2(s)] for s in q2.domain.elements},
         })
-    if args.action == "coeq":
-        f = map_from_json(_load_ref(args.f))
-        g = map_from_json(_load_ref(args.g))
-        quo, q = coequalizer(f, g)
-        payload, legend, names = _quotient_payload(quo)
-        return _emit(args, {
-            "coequalizer": payload,
-            "legend": legend,
-            "projection": {str(s): names[q(s)] for s in q.domain.elements},
-        })
-    raise IncRingError("unknown functor action %r" % (args.action,))
+    # coeq: argparse admits no other action
+    f = map_from_json(_load_ref(args.f))
+    g = map_from_json(_load_ref(args.g))
+    quo, q = coequalizer(f, g)
+    payload, legend, names = _quotient_payload(quo)
+    return _emit(args, {
+        "coequalizer": payload,
+        "legend": legend,
+        "projection": {str(s): names[q(s)] for s in q.domain.elements},
+    })
 
 
 # -- experiment -----------------------------------------------------------------
@@ -388,7 +383,7 @@ def cmd_experiment(args):
         ring = ring_from_json(require(cfg, "ring"))
         rep = _qz_report(fam, ring, _natural(cfg, "window"), _natural(cfg, "inner"))
         return _emit(args, {"experiment": "qz", "seed": seed, "report": rep})
-    raise IncRingError("unknown experiment %r" % (kind,))
+    raise MalformedInput("unknown experiment %r" % (kind,))
 
 
 # -- scramble -------------------------------------------------------------------
@@ -491,12 +486,10 @@ def main(argv=None):
         except BrokenPipeError:
             raise
         except (IncRingError, OSError, ValueError, KeyError) as exc:
-            # a private subclass is reported as the public error it refines
-            name = next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
             print(json.dumps({
                 "invocation": "incring " + " ".join(argv),
                 "version": __version__,
-                "error": {"type": name, "message": str(exc)},
+                "error": {"type": type(exc).__name__, "message": str(exc)},
             }, indent=2, sort_keys=True))
             code = 1
         sys.stdout.flush()

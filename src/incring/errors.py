@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-Every domain failure raises a subclass of IncRingError, so callers (and the
-command line driver) can separate bad mathematics from bad usage.
+Every refusal raises a subclass of IncRingError, so callers (and the command
+line driver) can separate bad mathematics from bad usage.  MalformedInput and
+SearchBudgetExceeded are also ValueErrors, so `except ValueError` catches a
+malformed argument or an exhausted budget.  A TypeError means a value of the
+wrong Python type; an AssertionError means a broken internal invariant, that
+is, a bug in this package.
 """
 
 __all__ = [
@@ -93,14 +97,9 @@ class NotInDiagonalSupport(IncRingError):
     """An erase step named a diagonal site outside b(A)."""
 
 
-class SearchBudgetExceeded(IncRingError):
+class SearchBudgetExceeded(IncRingError, ValueError):
     """A search ran out of budget before reaching its goal: a randomized
     search, or a closure or enumeration past its element cap."""
-
-
-class _ClosureCapExceeded(SearchBudgetExceeded, ValueError):
-    """A closure or unit enumeration held more elements than its cap.  Also
-    a ValueError, so callers that catch the caps as one keep working."""
 
 
 class NotOrderPreserving(IncRingError):
@@ -131,18 +130,7 @@ class NoValidCutPair(IncRingError):
     """No pair of class representatives yields an irreducible decomposition."""
 
 
-class MalformedInput(IncRingError):
+class MalformedInput(IncRingError, ValueError):
     """A JSON input or a call's arguments lack a required key or part, hold a
     value of the wrong shape or range (a non-object where an object belongs,
     an array of the wrong length), or name no known ring, family or mode."""
-
-
-class _UnknownMode(MalformedInput, ValueError):
-    """A call named a mode outside its documented set.  Also a ValueError,
-    so callers that caught the old bare ValueError keep working."""
-
-
-class _MalformedArgument(MalformedInput, ValueError):
-    """A call's argument has a part of the wrong shape: an empty augmentation
-    set, or two coefficient ideals in one sum.  Also a ValueError, as
-    `_UnknownMode` is."""

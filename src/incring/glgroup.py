@@ -23,7 +23,7 @@ of its factors.
 import itertools
 from collections import namedtuple
 
-from .errors import HypothesisViolation, MalformedInput, NotInvertible, _ClosureCapExceeded
+from .errors import HypothesisViolation, MalformedInput, NotInvertible, SearchBudgetExceeded
 from .matrices import IncMatrix, _raw, ideal_membership, identity, unit
 from .prosets import elem_key, two_block
 from .rings import PrimeField
@@ -425,14 +425,14 @@ def enumerate_matrices(pro, ring):
 
 def enumerate_invertibles(pro, ring, cap=None):
     """The units of a finite incidence ring, by testing all |R|^|pairs|
-    matrices.  SearchBudgetExceeded, also a ValueError, once more than `cap`
-    are found; at cap None up to that many are kept."""
+    matrices.  Raises SearchBudgetExceeded once more than `cap` are
+    found; at cap None up to that many are kept."""
     out = []
     for m in enumerate_matrices(pro, ring):
         if is_invertible(m):
             out.append(m)
             if cap is not None and len(out) > cap:
-                raise _ClosureCapExceeded("more than %d invertibles" % cap)
+                raise SearchBudgetExceeded("more than %d invertibles" % cap)
     return out
 
 
@@ -441,10 +441,10 @@ def _orbit(found, seeds, actions, cap=None, max_rounds=None):
     (l, r) in `actions`, where l None means x -> x*r.
 
     `found` is a dict used as an insertion-ordered set: every element not
-    yet in it joins it in discovery order, and SearchBudgetExceeded, also a
-    ValueError, is raised once it holds more than `cap`.  At most
-    `max_rounds` rounds of actions run.  Returns the rounds run and the
-    last frontier, which is empty exactly when the orbit closed."""
+    yet in it joins it in discovery order, and SearchBudgetExceeded is
+    raised once it holds more than `cap`.  At most `max_rounds` rounds of
+    actions run.  Returns the rounds run and the last frontier, which is
+    empty exactly when the orbit closed."""
 
     def admit(candidates):
         fresh = []
@@ -453,7 +453,7 @@ def _orbit(found, seeds, actions, cap=None, max_rounds=None):
                 found[y] = None
                 fresh.append(y)
                 if cap is not None and len(found) > cap:
-                    raise _ClosureCapExceeded("closure exceeded %d elements" % cap)
+                    raise SearchBudgetExceeded("closure exceeded %d elements" % cap)
         return fresh
 
     frontier = admit(seeds)
@@ -477,9 +477,9 @@ def mulclose(mats, cap=None):
     right-multiplied by the generators kept so far (the orbit algorithm).
     That costs about |closure| * |kept generators| products, against the
     2 |closure|^2 of multiplying new elements by everything found.  Raises
-    SearchBudgetExceeded, also a ValueError, exactly when the closure has
-    more than `cap` elements; at cap None it can grow to all |R|^|pairs|
-    matrices of a finite ring.
+    SearchBudgetExceeded exactly when the closure has more than `cap`
+    elements; at cap None it can grow to all |R|^|pairs| matrices of a
+    finite ring.
     """
     closure, actions = {}, []
     for g in mats:

@@ -276,10 +276,10 @@ def qz_window_check(family, ring, window, inner, cap=200000):
         certify(m)  # each lift really is a unit of the window ring
         for t in window:
             if t not in inner and m.entry(t, t) != ring.one:
-                raise ValueError("lift leaks outside the generating set")
+                raise AssertionError("lift leaks outside the generating set")
     projected = [m.project(inner) for m in lifts]
     if projected != gens:
-        raise ValueError("projections no longer match the inner generators")
+        raise AssertionError("projections no longer match the inner generators")
     reached = mulclose(projected, cap=cap)
     full = set(enumerate_invertibles(ipro, ring, cap=cap))
     return {
@@ -298,4 +298,4 @@ def named_oracle(name, family, ring):
         return lazy_from_oracle(
             family, ring, lambda s1, s2: ring.one if family.leq(s1, s2) else ring.zero
         )
-    raise ValueError("unknown oracle %r" % (name,))
+    raise MalformedInput("unknown oracle %r" % (name,))

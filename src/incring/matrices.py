@@ -22,7 +22,7 @@ per stored operand entry, instead of a Fraction normalisation per term.
 
 from math import lcm
 
-from .errors import IncompatibleOperands, NotComparable, NotConvex, _MalformedArgument
+from .errors import IncompatibleOperands, MalformedInput, NotComparable, NotConvex
 from .prosets import _raise_unknown, elem_key
 
 __all__ = [
@@ -68,9 +68,6 @@ class IncMatrix:
 
     def entry(self, s1, s2):
         return self.entries.get((s1, s2), self.ring.zero)
-
-    def support(self):
-        return sorted(self.entries, key=lambda p: (elem_key(p[0]), elem_key(p[1])))
 
     def diagonal(self):
         return {s: self.entry(s, s) for s in self.pro.elements}
@@ -132,7 +129,7 @@ class IncMatrix:
 
     def power(self, n):
         if n < 0:
-            raise ValueError("negative powers go through glgroup.invert")
+            raise MalformedInput("negative powers go through glgroup.invert")
         acc = identity(self.pro, self.ring)
         base = self
         while n:
@@ -262,7 +259,7 @@ class IntervalIdeal:
     def region(self, pro):
         box = pro.interval(self.s1, self.s2)
         if not box:
-            raise NotComparable("[%r, %r] is empty" % (self.s1, self.s2))
+            _reject_pair(pro, self.s1, self.s2, "[%r, %r] is empty")
         return _pairs_within(pro, box)
 
     def constraint(self):
@@ -346,7 +343,7 @@ def ideal_membership(matrix, ideal):
     parts = ideal.parts if isinstance(ideal, SumIdeal) else (ideal,)
     coeffs = [p for p in parts if p.constraint() == "coeff"]
     if len(coeffs) > 1:
-        raise _MalformedArgument("at most one coefficient ideal per sum")
+        raise MalformedInput("at most one coefficient ideal per sum")
     regions = [p.region(matrix.pro) for p in parts if p.constraint() == "zero"]
     member = coeffs[0].member if coeffs else None
     for pair, v in matrix.entries.items():

@@ -18,11 +18,11 @@ from math import lcm
 from .errors import (
     InfiniteNeighborhood,
     LocalFinitenessBudgetExceeded,
+    MalformedInput,
     NotConnected,
     NotConvex,
     OverlappingAugmentation,
     UnknownElement,
-    _MalformedArgument,
 )
 
 __all__ = [
@@ -494,7 +494,7 @@ def two_block(m, n=0):
     block on m elements alone.
     """
     if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
+        raise MalformedInput("need m >= 1 and n >= 0")
     top = ["t%d" % i for i in range(m)]
     bot = ["b%d" % i for i in range(n)]
     rel = [(a, b) for a in top for b in top]
@@ -752,7 +752,7 @@ class AugmentedFamily(ProsetFamily):
         self.sets = tuple(frozenset(s) for s in sets)
         for s in self.sets:
             if not s:
-                raise _MalformedArgument("augmentation sets must be nonempty")
+                raise MalformedInput("augmentation sets must be nonempty")
             for x in s:
                 if not base.contains(x):
                     raise UnknownElement("%r is not in the base family" % (x,))
@@ -851,7 +851,7 @@ class CustomFamily(ProsetFamily):
 
     def window(self, k):
         if self._window is None:
-            raise ValueError("this custom family has no window callback")
+            raise MalformedInput("this custom family has no window callback")
         got = tuple(islice(iter(self._window(k)), self.budget + 1))
         if len(got) > self.budget:
             raise LocalFinitenessBudgetExceeded(

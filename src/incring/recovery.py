@@ -34,12 +34,12 @@ import random
 
 from .errors import (
     HypothesisViolation,
+    MalformedInput,
     NotIdempotent,
     NotInDiagonalSupport,
     PosetRequired,
     RingBooleanPartTooLarge,
     SearchBudgetExceeded,
-    _UnknownMode,
 )
 from .matrices import IncMatrix, indicator, unit
 from .prosets import Proset, elem_key
@@ -553,7 +553,7 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
             if not access.is_zero(e):
                 rel += _add_atom(access, basis, atoms, e)
     else:
-        raise _UnknownMode("mode must be auto, exhaustive, or witness, not %r" % (mode,))
+        raise MalformedInput("mode must be auto, exhaustive, or witness, not %r" % (mode,))
 
     rec = Proset(range(len(atoms)), rel)
     if len(rec.pairs()) != access.dim:

@@ -8,7 +8,7 @@ entries is just ==.  Everything is exact, there is no floating point anywhere.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NotInvertible
+from .errors import MalformedInput, NotInvertible
 
 __all__ = [
     "CoeffRing",
@@ -74,7 +74,7 @@ class CoeffRing:
 
     def elements(self):
         """All elements (finite rings only)."""
-        raise ValueError("infinite ring has no element enumeration")
+        raise MalformedInput("infinite ring has no element enumeration")
 
     def units(self):
         """The units of a finite ring, in element order, as a tuple listed on
@@ -252,7 +252,7 @@ class ModRing(CoeffRing):
 
     def __init__(self, n):
         if not isinstance(n, int) or n < 2:
-            raise ValueError("modulus must be an integer >= 2")
+            raise MalformedInput("modulus must be an integer >= 2")
         self.n = n
         self.name = "Z/%d" % n
         self.zero = 0
@@ -316,7 +316,7 @@ class PrimeField(ModRing):
 
     def __init__(self, p):
         if not _is_prime(p):
-            raise ValueError("%r is not prime" % (p,))
+            raise MalformedInput("%r is not prime" % (p,))
         super().__init__(p)
         self.name = "F%d" % p
 

@@ -13,6 +13,7 @@ bucket.  Both that test (`Proset.poset_isomorphic`) and `random_fcc_map`'s
 component embeddings run the one search, `prosets._order_embeddings`.
 """
 
+from .errors import MalformedInput
 from .matrices import IncMatrix
 from .prosets import Proset, _order_embeddings
 
@@ -164,7 +165,7 @@ def random_fcc_map(dom, cod, rng, constant_bias=0.5):
             target = flat[rng.randrange(len(flat))]
             mapping.update({s: target for s in comp})
         else:
-            raise ValueError(
+            raise MalformedInput(
                 "component %r has no admissible image in the codomain" % (comp,)
             )
     return FccMap(dom, cod, mapping)

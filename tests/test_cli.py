@@ -91,13 +91,13 @@ def test_domain_error_is_exit_1(capsys):
 
 
 def test_private_error_is_reported_by_its_public_class(capsys, monkeypatch):
-    """A closure cap raises a private subclass of SearchBudgetExceeded and
-    ValueError; the report names the public class."""
+    """A closure cap raises SearchBudgetExceeded, also a ValueError; the
+    report names that class."""
     from incring import glgroup
-    from incring.errors import _ClosureCapExceeded
+    from incring.errors import SearchBudgetExceeded
 
     def capped(m):
-        raise _ClosureCapExceeded("closure exceeded 1 elements")
+        raise SearchBudgetExceeded("closure exceeded 1 elements")
 
     monkeypatch.setattr(glgroup, "invert", capped)
     code, out = run(capsys, "group", "invert", "--input", ID2)

@@ -419,3 +419,15 @@ def test_vanishing_ideals_refuse_bad_regions():
     with pytest.raises(NotConvex, match="collection members are comparable"):
         ideal_membership(m, LocallyConvexIdeal([[0], [2]]))
     assert ideal_membership(m, LocallyConvexIdeal([[0, 1], ["a"]]))
+
+
+def test_interval_ideal_names_an_unknown_end_before_emptiness():
+    """An interval with an end outside the proset is an unknown label, as in
+    ConvexIdeal; a reversed interval of known ends is still empty."""
+    pro = Proset([0, 1], [(0, 1)])
+    m = zero(pro, ZZ)
+    with pytest.raises(UnknownElement, match="9 is not an element of the proset"):
+        ideal_membership(m, IntervalIdeal(0, 9))
+    with pytest.raises(NotComparable) as err:
+        ideal_membership(m, IntervalIdeal(1, 0))
+    assert str(err.value) == "[1, 0] is empty"
