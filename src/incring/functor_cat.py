@@ -71,7 +71,10 @@ class FccMap:
             raise UnknownElement("%r is mapped but is not in the domain" % (stray,))
 
     def __call__(self, s):
-        return self.mapping[s]
+        try:
+            return self.mapping[s]
+        except KeyError:
+            raise UnknownElement("%r is not an element of the domain" % (s,)) from None
 
     def image(self):
         return set(self.mapping.values())

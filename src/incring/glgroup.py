@@ -54,22 +54,6 @@ __all__ = [
 # -- dense helpers on class blocks ------------------------------------------
 
 
-def _mat_mul(ring, x, y):
-    n, m, k = len(x), len(y[0]) if y else 0, len(y)
-    out = [[ring.zero] * m for _ in range(n)]
-    for i in range(n):
-        xi = x[i]
-        for t in range(k):
-            a = xi[t]
-            if a == ring.zero:
-                continue
-            yt = y[t]
-            oi = out[i]
-            for j in range(m):
-                oi[j] = ring.add(oi[j], ring.mul(a, yt[j]))
-    return out
-
-
 def det_block(ring, m):
     """Determinant of a dense n x n block: the closed form up to n == 3,
     where it is the faster route, else `_det_adj`'s fraction-free

@@ -23,7 +23,7 @@ per stored operand entry, instead of a Fraction normalisation per term.
 from math import lcm
 
 from .errors import IncompatibleOperands, MalformedInput, NotComparable, NotConvex
-from .prosets import _raise_unknown, elem_key
+from .prosets import elem_key
 
 __all__ = [
     "IncMatrix",
@@ -55,19 +55,19 @@ class IncMatrix:
             if v == ring.zero:
                 continue
             s1, s2 = k
-            try:
-                comparable = pro.leq(s1, s2)
-            except KeyError:
-                comparable = False
-            if not comparable:
-                _reject_pair(pro, s1, s2, "entry at (%r, %r) is off the order")
+            if not pro.leq(s1, s2):
+                raise NotComparable("entry at (%r, %r) is off the order" % k)
             clean[k] = v
         self.entries = clean
 
     # -- access -----------------------------------------------------------
 
     def entry(self, s1, s2):
-        return self.entries.get((s1, s2), self.ring.zero)
+        v = self.entries.get((s1, s2))
+        if v is None:
+            self.pro.leq(s1, s2)  # refuses a label outside the proset
+            return self.ring.zero
+        return v
 
     def diagonal(self):
         return {s: self.entry(s, s) for s in self.pro.elements}
@@ -219,17 +219,9 @@ def indicator(pro, ring, subset):
 def unit(pro, ring, s1, s2, value=None):
     """e^(s1,s2): single entry at a comparable pair, 1 unless `value` is
     given; e^(s,s) == 1^{s}."""
-    if s1 not in pro or s2 not in pro or not pro.leq(s1, s2):
-        _reject_pair(pro, s1, s2, "(%r, %r) is not an order pair")
+    if not pro.leq(s1, s2):
+        raise NotComparable("(%r, %r) is not an order pair" % (s1, s2))
     return IncMatrix(pro, ring, {(s1, s2): ring.one if value is None else value})
-
-
-def _reject_pair(pro, s1, s2, message):
-    """Raise the typed error for a pair outside the order relation: an
-    unknown label first, since (a, z) with z unknown is not a comparability
-    question."""
-    _raise_unknown(pro, (s1, s2))
-    raise NotComparable(message % (s1, s2))
 
 
 def join_components(pieces, pro, ring):
@@ -259,7 +251,7 @@ class IntervalIdeal:
     def region(self, pro):
         box = pro.interval(self.s1, self.s2)
         if not box:
-            _reject_pair(pro, self.s1, self.s2, "[%r, %r] is empty")
+            raise NotComparable("[%r, %r] is empty" % (self.s1, self.s2))
         return _pairs_within(pro, box)
 
     def constraint(self):

@@ -62,14 +62,9 @@ def _sorted(xs):
     return tuple(sorted(xs, key=elem_key))
 
 
-def _raise_unknown(pro, labels):
-    """Raise UnknownElement for the first label outside a finite proset.
-    Called only once a lookup has failed, so the hot path never tests
-    membership."""
-    if isinstance(pro, Proset):
-        for s in labels:
-            if s not in pro:
-                raise UnknownElement("%r is not an element of the proset" % (s,))
+def _unknown(label):
+    """The refusal of a label outside a finite proset (see Proset)."""
+    return UnknownElement("%r is not an element of the proset" % (label,))
 
 
 def _flood(pro, start, within):
@@ -90,14 +85,12 @@ def _is_convex(pro, subset):
     """Closed under intervals and connected inside the subset."""
     subset = set(subset)
     between = pro._between
-    try:
-        for a in subset:
-            for b in subset:
-                if not subset.issuperset(between(a, b)):
-                    return False
-    except KeyError:
-        _raise_unknown(pro, subset)
-        raise
+    for a in subset:
+        for b in subset:
+            if not subset.issuperset(between(a, b)):
+                for c in subset:
+                    pro.leq(c, c)  # a finite proset refuses a label it lacks
+                return False
     return not subset or len(_flood(pro, next(iter(subset)), subset)) == len(subset)
 
 
@@ -123,19 +116,15 @@ def _window_proset(pro, window):
 
 def _neighborhood(pro, s, n):
     """N_n(s); N_0 is the equivalence class, N_1 adds all comparables."""
-    try:
-        reached = set(pro.equiv_class(s))
-        for _ in range(n):
-            grown = set(reached)
-            for t in reached:
-                grown.update(pro.up_set(t))
-                grown.update(pro.down_set(t))
-            if grown == reached:
-                break
-            reached = grown
-    except KeyError:
-        _raise_unknown(pro, (s,))
-        raise
+    reached = set(pro.equiv_class(s))
+    for _ in range(n):
+        grown = set(reached)
+        for t in reached:
+            grown.update(pro.up_set(t))
+            grown.update(pro.down_set(t))
+        if grown == reached:
+            break
+        reached = grown
     return frozenset(reached)
 
 
@@ -201,7 +190,13 @@ class Proset:
     finishes, deriving `rank` and the down-sets.  A derived proset enters at
     the step it needs (`_closed`): a restriction, the opposite and a family
     window bring sets that are already closed, and a quotient whose classes
-    already come in order only closes its relations."""
+    already come in order only closes its relations.
+
+    A label outside the proset is refused: every query (leq, interval,
+    up_set, down_set, equiv_class, class_leq, neighborhood, is_convex,
+    convex_closure, restrict) raises UnknownElement("9 is not an element
+    of the proset") for it.  Labels are tested only once a lookup misses or
+    the answer is False (leq then reads s2's up-set, which is never empty)."""
 
     _pairs = _opposite = _classes = _components = _windows = _kept_signatures = None
 
@@ -238,30 +233,48 @@ class Proset:
         return len(self.elements)
 
     def leq(self, s1, s2):
-        return s2 in self._up[s1]
+        try:
+            return s2 in self._up[s1] or not self._up[s2]
+        except KeyError as miss:
+            raise _unknown(miss.args[0]) from None
 
     def up_set(self, s):
-        return self._up[s]
+        try:
+            return self._up[s]
+        except KeyError as miss:
+            raise _unknown(miss.args[0]) from None
 
     def down_set(self, s):
-        return self._down[s]
+        try:
+            return self._down[s]
+        except KeyError as miss:
+            raise _unknown(miss.args[0]) from None
 
     def interval(self, s1, s2):
         """[s1, s2] = every t with s1 <= t <= s2; empty unless s1 <= s2."""
-        if s2 not in self._up[s1]:
+        if not self.leq(s1, s2):
             return ()
         return tuple(sorted(self._up[s1] & self._down[s2], key=self.rank.__getitem__))
 
     # _flood, _is_convex and interval_closure read these unsorted sets
 
     def _between(self, s1, s2):
-        return self._up[s1] & self._down[s2]
+        try:
+            return self._up[s1] & self._down[s2]
+        except KeyError as miss:
+            raise _unknown(miss.args[0]) from None
 
     def _comparables(self, s, among):
-        return among & (self._up[s] | self._down[s])
+        try:
+            return among & (self._up[s] | self._down[s])
+        except KeyError as miss:
+            raise _unknown(miss.args[0]) from None
 
     def equiv_class(self, s):
-        return frozenset(t for t in self._up[s] if s in self._up[t])
+        try:
+            return frozenset(t for t in self._up[s] if s in self._up[t])
+        except KeyError as miss:
+            raise _unknown(miss.args[0]) from None
 
     neighborhood = _neighborhood
 
@@ -315,7 +328,7 @@ class Proset:
         subset = frozenset(subset)
         missing = subset.difference(self._up)
         if missing:
-            _raise_unknown(self, _sorted(missing))
+            raise _unknown(_sorted(missing)[0])
         elements = tuple(s for s in self.elements if s in subset)
         up, down = self._up, self._down
         return Proset._closed(
@@ -350,16 +363,12 @@ class Proset:
         if len(comps) > 1:
             raise NotConnected("subset spans %d components" % len(comps))
         work = subset
-        try:
-            while True:
-                work = interval_closure(self, work)
-                piece = _flood(self, min(work, key=self.rank.__getitem__), work)
-                if len(piece) == len(work):
-                    return work
-                work |= self._connecting_path(work, piece)
-        except KeyError:
-            _raise_unknown(self, subset)
-            raise
+        while True:
+            work = interval_closure(self, work)
+            piece = _flood(self, min(work, key=self.rank.__getitem__), work)
+            if len(piece) == len(work):
+                return work
+            work |= self._connecting_path(work, piece)
 
     def _connecting_path(self, subset, piece):
         # BFS from one piece of the subset through the ambient comparability

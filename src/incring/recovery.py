@@ -20,7 +20,8 @@ structure-constant bundles.
 
 A recovered poset carries a certificate: M(P) is free on one basis element
 per order pair (the interval basis), so the atoms found are all the points
-exactly when the closed order they induce has `dim` pairs.
+exactly when the closed order they induce has `dim` pairs; and no product
+along a chain of its points vanishes.
 
 A bundle product runs one integer kernel.  The table's nonzero structure
 constants are lifted to ints once (`CoeffRing.lift`; over Q with one common
@@ -31,6 +32,7 @@ both factors nonzero and one reduction per output coordinate
 
 import itertools
 import random
+from functools import reduce
 
 from .errors import (
     HypothesisViolation,
@@ -478,19 +480,37 @@ def _primitive_split(access, basis):
 
 def _add_atom(access, basis, atoms, e, eb=None):
     """Append atom representative `e` (with its nonzero products e.b, taken
-    from `eb` unless it is None) to `atoms`; return the pairs (i, j),
-    atom i below atom j, between it and the atoms before it.  e.R.f is
-    spanned by the products e.b.f over the basis, and as e and f are
-    conjugates of 1_s and 1_t, it is nonzero exactly when s <= t."""
-    def meets(left, f):
-        return any(not access.is_zero(access.mul(x, f)) for x in left)
+    from `eb` unless it is None) to `atoms`; return the pairs (i, j), atom
+    i below atom j, between it and the atoms before it, each mapped to the
+    first product c_ij = (e_i.b).e_j that shows it.
+
+    e.R.f is spanned by the products (e.b).f over the basis.  As e and f
+    are conjugates g.1_s.g^-1 and h.1_t.h^-1, each product is
+    g.(x.e^(s,t)).h^-1 for the (s, t) coordinate x of g^-1.b.h, so some
+    product is nonzero exactly when s <= t.  Over Z/p^a with a >= 2 the
+    product kept must also have p^(a-1).c_ij != 0, that is, a unit x: as b
+    runs over a basis so does g^-1.b.h, and one of them has a unit (s, t)
+    coordinate.  So along a chain s < t < u, c_st.c_tu is g.(x.y.e^(s,u))
+    times the inverse conjugator of u, never 0 in an incidence ring, which
+    `recover_poset` checks; the atoms need not be orthogonal."""
+    top = 1  # p^(a-1) over Z/p^a
+    if isinstance(access.ring, ModRing):
+        n = access.ring.n
+        top = n // next(p for p in itertools.count(2) if n % p == 0)
+
+    def meet(left, f):
+        for x in left:
+            c = access.mul(x, f)
+            if not access.is_zero(c) and not access.is_zero(reduce(access.add, [c] * top)):
+                return c
+        return None
 
     if eb is None:
         eb = [access.mul(e, b) for b in basis]
     eb = [x for x in eb if not access.is_zero(x)]
     k = len(atoms)
-    rel = [(k, j) for j, (f, _) in enumerate(atoms) if meets(eb, f)]
-    rel += [(j, k) for j, (_, fb) in enumerate(atoms) if meets(fb, e)]
+    rel = {(k, j): c for j, (f, _) in enumerate(atoms) if (c := meet(eb, f)) is not None}
+    rel.update(((j, k), c) for j, (_, fb) in enumerate(atoms) if (c := meet(fb, e)) is not None)
     atoms.append((e, eb))
     return rel
 
@@ -516,17 +536,21 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     operations, never returning a short poset.  The certified count is the
     *closed* order's: one other than `dim` raises HypothesisViolation, as the
     ring is no incidence ring of a poset (a path with a.b = 0 reads 5 pairs
-    but closes to 6).  Necessary, not sufficient: products that vanish or
-    twist along a chain s < t < u can still pass.  Returns a Proset on fresh
-    integer labels, correct up to isomorphism.  Raises RingBooleanPartTooLarge
-    when the coefficient ring has idempotents besides 0 and 1, since the class
-    count would no longer match the poset.
+    but closes to 6).  Then each strict chain s < t < u costs one product:
+    c_st.c_tu = 0, with c_st the product `_add_atom` kept for s < t, raises
+    HypothesisViolation too (a square whose one path multiplies to 0 passes
+    the count).  The atoms need not be orthogonal for this, so both modes
+    run it.  Necessary, not sufficient: products that twist along a chain
+    (c_st.c_tu = -c_su where M(P) has +) can still pass.  Returns a Proset
+    on fresh integer labels, correct up to isomorphism.  Raises
+    RingBooleanPartTooLarge when the coefficient ring has idempotents
+    besides 0 and 1, since the class count would no longer match the poset.
     """
     _require_boolean_part_01(access.ring)
     size = access.carrier_size()
     if mode == "auto":
         mode = "exhaustive" if size is not None and size <= 2**14 else "witness"
-    basis, atoms, rel = access.basis(), [], []
+    basis, atoms, rel = access.basis(), [], {}
 
     def tally(pairs):
         return "found %d atom classes with %d order pairs, against dimension %d" % (
@@ -536,7 +560,7 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
         if size is None or size > 2**14:
             raise SearchBudgetExceeded("carrier too large to enumerate (%s elements)" % (size,))
         for e, eb in _primitive_split(access, basis):
-            rel += _add_atom(access, basis, atoms, e, eb)
+            rel.update(_add_atom(access, basis, atoms, e, eb))
     elif mode == "witness":
         if rng is None:
             rng = random.Random(0)
@@ -551,11 +575,17 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
                 continue
             reps.append(e)
             if not access.is_zero(e):
-                rel += _add_atom(access, basis, atoms, e)
+                rel.update(_add_atom(access, basis, atoms, e))
     else:
         raise MalformedInput("mode must be auto, exhaustive, or witness, not %r" % (mode,))
 
     rec = Proset(range(len(atoms)), rel)
     if len(rec.pairs()) != access.dim:
         raise HypothesisViolation("%s: not the incidence ring of a poset" % tally(len(rec.pairs())))
+    for (s, t), x in rel.items():
+        for (t2, u), y in rel.items():
+            if t2 == t and access.is_zero(access.mul(x, y)):
+                raise HypothesisViolation(
+                    "the products along the chain %d < %d < %d multiply to 0: not the "
+                    "incidence ring of a poset" % (s, t, u))
     return rec

@@ -14,7 +14,8 @@ from incring.errors import (
     NotConnected,
     UnknownElement,
 )
-from incring.functor_cat import coequalizer, pushout
+from incring.functor_cat import FccMap, coequalizer, pushout
+from incring.matrices import IncMatrix, indicator, unit, zero
 from incring.prosets import (
     AugmentedFamily,
     CustomFamily,
@@ -26,6 +27,7 @@ from incring.prosets import (
     interval_closure,
     two_block,
 )
+from incring.rings import ZZ
 from incring.samples import (
     _component_embeddings,
     enumerate_posets,
@@ -443,6 +445,41 @@ def test_relations_and_augmentations_on_unknown_elements_are_typed():
         Proset([0], [(0, 1)])
     with pytest.raises(UnknownElement, match=r"augmentation set \(5,\) not within proset"):
         Proset([0, 1]).augment([[5]])
+
+
+def test_a_proset_refuses_a_label_it_lacks():
+    """Every query, and every matrix read or built over a proset, refuses a
+    label outside it with the same UnknownElement, in either argument:
+    never a KeyError, a False, an empty interval or a zero entry."""
+    for n in range(4):
+        for pro in enumerate_prosets(n):
+            m = zero(pro, ZZ)
+            f = FccMap(pro, pro, {s: s for s in pro.elements})
+            for x in (9, "z", (0,)):
+                alone = frozenset([x])
+                calls = [
+                    (pro.up_set, x), (pro.down_set, x), (pro.equiv_class, x),
+                    (pro._comparables, x, set(pro.elements)),
+                    (pro.neighborhood, x, 0), (pro.neighborhood, x, 1),
+                    (pro.is_convex, [x]), (pro.convex_closure, [x]),
+                    (pro.restrict, pro.elements + (x,)), (indicator, pro, ZZ, [x]),
+                ]
+                for s in pro.elements + (x,):
+                    cls = alone if s == x else pro.equiv_class(s)
+                    for a, b, ca, cb in ((s, x, cls, alone), (x, s, alone, cls)):
+                        calls += [
+                            (pro.leq, a, b), (pro.interval, a, b), (pro._between, a, b),
+                            (pro.class_leq, ca, cb), (m.entry, a, b),
+                            (IncMatrix, pro, ZZ, {(a, b): 1}), (unit, pro, ZZ, a, b),
+                        ]
+                    calls += [(pro.is_convex, [s, x]), (pro.convex_closure, [s, x])]
+                for fn, *args in calls:
+                    with pytest.raises(UnknownElement) as err:
+                        fn(*args)
+                    assert str(err.value) == "%r is not an element of the proset" % (x,)
+                with pytest.raises(UnknownElement) as err:
+                    f(x)
+                assert str(err.value) == "%r is not an element of the domain" % (x,)
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -743,3 +743,63 @@ def test_closed_pair_count_refuses_a_path_with_a_zero_product(capsys, p, mode):
     assert code == 1
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["error"]["type"] == "HypothesisViolation"
+
+
+def square_with_a_zero_path(p):
+    """The square 0 < 1, 2 < 3 over F_p on the basis e0-e3, a = 0->1,
+    b = 0->2, c = 1->3, d = 2->3 and z = 0->3, with a.c = 0 and b.d = z,
+    and the primitives e0-e3 as samples: an associative, unital table of
+    dimension 9 whose primitives read the square's 9 pairs, though in
+    M(square) no path from 0 to 3 multiplies to 0."""
+    e0, e1, e2, e3, a, b, c, d, z = range(9)
+    products = {(e0, e0): e0, (e1, e1): e1, (e2, e2): e2, (e3, e3): e3,
+                (e0, a): a, (a, e1): a, (e0, b): b, (b, e2): b, (e1, c): c, (c, e3): c,
+                (e2, d): d, (d, e3): d, (e0, z): z, (z, e3): z, (b, d): z}
+
+    def vec(*ones):
+        return ["1" if k in ones else "0" for k in range(9)]
+
+    return {
+        "ring": {"gf": p},
+        "dim": 9,
+        "table": [[vec(*[products[i, j]] if (i, j) in products else []) for j in range(9)]
+                  for i in range(9)],
+        "one": vec(e0, e1, e2, e3),
+        "samples": [vec(e0), vec(e1), vec(e2), vec(e3)],
+    }
+
+
+@pytest.mark.parametrize("p, mode", [(2, "exhaustive"), (2, "witness"), (3, "witness")])
+def test_chain_products_refuse_a_square_with_a_zero_path(capsys, p, mode):
+    """The square's table passes the closed pair count, but c_01.c_13 = a.c
+    = 0 along a chain: the library and `incring recover` both refuse it
+    with HypothesisViolation instead of printing the square."""
+    from incring.cli import main
+
+    table = square_with_a_zero_path(p)
+    with pytest.raises(HypothesisViolation, match=(
+            r"^the products along the chain \d < \d < \d multiply to 0: "
+            r"not the incidence ring of a poset$")):
+        recover_poset(BundleAccess(table, PrimeField(p)), mode=mode)
+    code = main(["recover", "--input", json.dumps(table), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"]["type"] == "HypothesisViolation"
+
+
+@pytest.mark.parametrize("relations, ring, seed, mode", [
+    ([(0, 2), (0, 3), (2, 3)], ModRing(4), 0, "exhaustive"),
+    ([(0, 2), (0, 3), (1, 3), (2, 3)], ModRing(4), 2, "witness"),
+    ([(0, 2), (0, 3), (2, 3)], ModRing(8), 2, "witness"),
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], ModRing(9), 0, "witness"),
+], ids=str)
+def test_chain_products_pass_honest_rings_over_prime_powers(relations, ring, seed, mode):
+    """Over Z/p^a a product (e_s.b).e_t can be p times a unit multiple of
+    the scrambled unit, and two such multiply to 0 along a chain.  Each
+    c_st kept has p^(a-1).c_st != 0, so these honest scrambles, whose first
+    nonzero products include such ones, still recover their poset."""
+    pro = Proset(range(4), relations)
+    bundle, _ = scramble(pro, ring, seed=seed, samples=24)
+    rec = recover_poset(BundleAccess(bundle, ring), mode=mode)
+    assert rec.poset_isomorphic(pro) is not None
