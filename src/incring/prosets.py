@@ -88,8 +88,9 @@ def _is_convex(pro, subset):
     for a in subset:
         for b in subset:
             if not subset.issuperset(between(a, b)):
-                for c in subset:
-                    pro.leq(c, c)  # a finite proset refuses a label it lacks
+                missing = _sorted(subset.difference(pro._up)) if isinstance(pro, Proset) else ()
+                if missing:
+                    raise _unknown(missing[0])
                 return False
     return not subset or len(_flood(pro, next(iter(subset)), subset)) == len(subset)
 
@@ -192,11 +193,9 @@ class Proset:
     window bring sets that are already closed, and a quotient whose classes
     already come in order only closes its relations.
 
-    A label outside the proset is refused: every query (leq, interval,
-    up_set, down_set, equiv_class, class_leq, neighborhood, is_convex,
-    convex_closure, restrict) raises UnknownElement("9 is not an element
-    of the proset") for it.  Labels are tested only once a lookup misses or
-    the answer is False (leq then reads s2's up-set, which is never empty)."""
+    A label outside the proset is refused: every query raises
+    UnknownElement("9 is not an element of the proset"), tested only once a
+    lookup misses or an answer is False (an up-set is never empty)."""
 
     _pairs = _opposite = _classes = _components = _windows = _kept_signatures = None
 

@@ -31,8 +31,8 @@ both factors nonzero and one reduction per output coordinate
 """
 
 import itertools
+import math
 import random
-from functools import reduce
 
 from .errors import (
     HypothesisViolation,
@@ -478,7 +478,17 @@ def _primitive_split(access, basis):
     return leaves
 
 
-def _add_atom(access, basis, atoms, e, eb=None):
+def _multiple(access, k, x):
+    """k.x for k >= 1, by doubling: O(log k) additions."""
+    out = x
+    for bit in bin(k)[3:]:
+        out = access.add(out, out)
+        if bit == "1":
+            out = access.add(out, x)
+    return out
+
+
+def _add_atom(access, basis, atoms, e, eb=None, scale=None):
     """Append atom representative `e` (with its nonzero products e.b, taken
     from `eb` unless it is None) to `atoms`; return the pairs (i, j), atom
     i below atom j, between it and the atoms before it, each mapped to the
@@ -487,21 +497,18 @@ def _add_atom(access, basis, atoms, e, eb=None):
     e.R.f is spanned by the products (e.b).f over the basis.  As e and f
     are conjugates g.1_s.g^-1 and h.1_t.h^-1, each product is
     g.(x.e^(s,t)).h^-1 for the (s, t) coordinate x of g^-1.b.h, so some
-    product is nonzero exactly when s <= t.  Over Z/p^a with a >= 2 the
-    product kept must also have p^(a-1).c_ij != 0, that is, a unit x: as b
-    runs over a basis so does g^-1.b.h, and one of them has a unit (s, t)
-    coordinate.  So along a chain s < t < u, c_st.c_tu is g.(x.y.e^(s,u))
-    times the inverse conjugator of u, never 0 in an incidence ring, which
-    `recover_poset` checks; the atoms need not be orthogonal."""
-    top = 1  # p^(a-1) over Z/p^a
-    if isinstance(access.ring, ModRing):
-        n = access.ring.n
-        top = n // next(p for p in itertools.count(2) if n % p == 0)
-
+    product is nonzero exactly when s <= t.  Over Z/p^a with a >= 2,
+    `scale` is p^(a-1).1 and the product kept must also have scale.c_ij !=
+    0, that is, a unit x: as b runs over a basis so does g^-1.b.h, and one
+    of them has a unit (s, t) coordinate.  So along a chain s < t < u,
+    c_st.c_tu is g.(x.y.e^(s,u)) times the inverse conjugator of u, never 0
+    in an incidence ring, which `recover_poset` checks; the atoms need not
+    be orthogonal."""
     def meet(left, f):
         for x in left:
             c = access.mul(x, f)
-            if not access.is_zero(c) and not access.is_zero(reduce(access.add, [c] * top)):
+            if not access.is_zero(c) and (
+                    scale is None or not access.is_zero(access.mul(scale, c))):
                 return c
         return None
 
@@ -551,6 +558,12 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     if mode == "auto":
         mode = "exhaustive" if size is not None and size <= 2**14 else "witness"
     basis, atoms, rel = access.basis(), [], {}
+    scale = None  # p^(a-1).1 over Z/p^a with a >= 2 (see _add_atom)
+    if isinstance(access.ring, ModRing):
+        n = access.ring.n
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        if n > p:
+            scale = _multiple(access, n // p, access.one())
 
     def tally(pairs):
         return "found %d atom classes with %d order pairs, against dimension %d" % (
@@ -560,7 +573,7 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
         if size is None or size > 2**14:
             raise SearchBudgetExceeded("carrier too large to enumerate (%s elements)" % (size,))
         for e, eb in _primitive_split(access, basis):
-            rel.update(_add_atom(access, basis, atoms, e, eb))
+            rel.update(_add_atom(access, basis, atoms, e, eb, scale))
     elif mode == "witness":
         if rng is None:
             rng = random.Random(0)
@@ -575,16 +588,19 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
                 continue
             reps.append(e)
             if not access.is_zero(e):
-                rel.update(_add_atom(access, basis, atoms, e))
+                rel.update(_add_atom(access, basis, atoms, e, scale=scale))
     else:
         raise MalformedInput("mode must be auto, exhaustive, or witness, not %r" % (mode,))
 
     rec = Proset(range(len(atoms)), rel)
     if len(rec.pairs()) != access.dim:
         raise HypothesisViolation("%s: not the incidence ring of a poset" % tally(len(rec.pairs())))
+    after = {}  # t -> [(u, c_tu)]
+    for (t, u), y in rel.items():
+        after.setdefault(t, []).append((u, y))
     for (s, t), x in rel.items():
-        for (t2, u), y in rel.items():
-            if t2 == t and access.is_zero(access.mul(x, y)):
+        for u, y in after.get(t, ()):
+            if access.is_zero(access.mul(x, y)):
                 raise HypothesisViolation(
                     "the products along the chain %d < %d < %d multiply to 0: not the "
                     "incidence ring of a poset" % (s, t, u))

@@ -803,3 +803,16 @@ def test_chain_products_pass_honest_rings_over_prime_powers(relations, ring, see
     bundle, _ = scramble(pro, ring, seed=seed, samples=24)
     rec = recover_poset(BundleAccess(bundle, ring), mode=mode)
     assert rec.poset_isomorphic(pro) is not None
+
+
+@pytest.mark.parametrize("ring", [ModRing(2**16), ModRing(3**10)], ids=str)
+def test_chain_products_stay_cheap_over_large_prime_powers(ring):
+    """p^(a-1) times a product is one multiplication by p^(a-1).1, built
+    once by doubling, so witness mode over a large Z/p^a recovers a
+    scrambled 4-chain within the default budget."""
+    pro = Proset(range(4), [(0, 1), (1, 2), (2, 3)])
+    bundle, _ = scramble(pro, ring, seed=1, samples=24)
+    access = BundleAccess(bundle, ring)
+    rec = recover_poset(access, mode="witness")
+    assert rec.poset_isomorphic(pro) is not None
+    assert access.ops < 1000
