@@ -52,12 +52,12 @@ class IncMatrix:
         clean = {}
         for k, v in entries.items():
             v = ring.canon(v)
-            if v == ring.zero:
-                continue
             s1, s2 = k
-            if not pro.leq(s1, s2):
-                raise NotComparable("entry at (%r, %r) is off the order" % k)
-            clean[k] = v
+            if not pro.leq(s1, s2):  # on zeros too: it refuses an unknown label
+                if v != ring.zero:
+                    raise NotComparable("entry at (%r, %r) is off the order" % k)
+            elif v != ring.zero:
+                clean[k] = v
         self.entries = clean
 
     # -- access -----------------------------------------------------------

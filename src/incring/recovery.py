@@ -11,7 +11,9 @@ the orthogonal f and e - f, and the nodes left unsplit are the primitives.
 A node whose corner ring e.R.e is the multiples of e is primitive on sight,
 as no other multiple is idempotent over Z/p^a; any other node scans the
 carrier's idempotents, squared as the scan first reaches them.  Witness
-mode draws sampled primitives and keeps one per difference-nilpotent class.
+mode draws sampled primitives and keeps one per point: for e = g.1_s.g^-1
+and f = h.1_t.h^-1, e.f.e = x_st.y_ts.e (x = g^-1.h, y = x^-1) is e if s = t
+and 0 if not, as x_st.y_ts != 0 needs s <= t <= s and (x.y)_ss = 1.
 
 Everything here works through a small access protocol (add, mul, neg, zero,
 one, is_zero, basis, dim plus either full enumeration or an idempotent
@@ -75,8 +77,7 @@ def _coeff_nilpotent(ring, v):
 def is_topologically_nilpotent(m):
     """True when powers of `m` reach zero.  Decided two ways that must agree:
     the diagonal entries are nilpotent coefficients, and `m` squares to zero
-    within `_squarings` squarings on a `MatrixAccess` (the black-box test
-    recovery runs on bundles)."""
+    within `_squarings` squarings on a `MatrixAccess`."""
     if not m.pro.is_poset():
         raise PosetRequired("nilpotence criterion needs a poset")
     analytic = all(_coeff_nilpotent(m.ring, v) for v in m.diagonal().values())
@@ -198,6 +199,8 @@ class MatrixAccess:
     def sample_idempotent(self, rng):
         from .glgroup import invert, random_invertible
 
+        if not self.pro.elements:
+            raise SearchBudgetExceeded("the empty poset has no idempotents to sample")
         s = rng.choice(self.pro.elements)
         w = random_invertible(self.pro, self.ring, rng)
         return w.mul(indicator(self.pro, self.ring, [s])).mul(invert(w))
@@ -256,7 +259,7 @@ class BundleAccess:
         self.ops += 1
         ring = self.ring
         a, sa = ring.lift({i: v for i, v in enumerate(x) if v})
-        # recovery squares often (idempotence and nilpotence tests): lift once
+        # recovery squares often (idempotence tests): lift once
         b, sb = (a, sa) if y is x else ring.lift({j: v for j, v in enumerate(y) if v})
         if not a or not b:
             return self._zero
@@ -399,10 +402,6 @@ def _is_idempotent(access, x):
     return access.mul(x, x) == x
 
 
-def _difference(access, x, y):
-    return access.add(x, access.neg(y))
-
-
 def _corner_products(access, e, basis):
     """The products e.b over the basis when e's corner ring e.R.e shows that
     e has no sub-idempotent outside {0, e}; None when it does not decide.
@@ -472,7 +471,7 @@ def _primitive_split(access, basis):
             f = next((f for f in idems()
                       if f != e and access.mul(e, f) == f and access.mul(f, e) == f), None)
             if f is not None:
-                stack += [_difference(access, e, f), f]
+                stack += [access.add(e, access.neg(f)), f]
                 continue
         leaves.append((e, eb))
     return leaves
@@ -532,10 +531,11 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     operations, where squaring its 1,024 elements and scanning every
     idempotent spent about 1,780.  It refuses carriers of more than 2^14
     elements; `auto` picks it up to that size and `witness` above.
-    `witness` draws sampled idempotents (which are
-    primitive) and keeps one per difference-nilpotent class.  Each
-    primitive becomes an atom, and the order is read off each atom as it
-    turns up (see `_add_atom`).
+    `witness` draws sampled idempotents (which are primitive) and skips a
+    draw e that is 0 or has e.f.e != 0 for a kept atom f: e.f.e = x_st.y_ts.e
+    is e for one point and 0 for two (see the module docstring).  Each
+    primitive kept becomes an atom, and the order is read off each atom as
+    it turns up (see `_add_atom`).
 
     The atoms found span at most `access.dim` order pairs, exactly `dim` when
     they are all the points.  Witness mode draws until the pairs read off
@@ -577,18 +577,17 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     elif mode == "witness":
         if rng is None:
             rng = random.Random(0)
-        reps = []  # one per class drawn, the zero class included
-        squarings = _squarings(access)
         while len(atoms) + len(rel) < access.dim:
             if access.ops > budget:
                 raise SearchBudgetExceeded(
                     "budget of %d ring operations spent: %s" % (budget, tally(len(atoms) + len(rel))))
             e = access.sample_idempotent(rng)
-            if any(_access_nilpotent(access, _difference(access, e, r), squarings) for r in reps):
+            # e.f.e is e for a primitive f of e's point and 0 for any other
+            if access.is_zero(e) or any(
+                    not access.is_zero(ef := access.mul(e, f)) and not access.is_zero(access.mul(ef, e))
+                    for f, _ in atoms):
                 continue
-            reps.append(e)
-            if not access.is_zero(e):
-                rel.update(_add_atom(access, basis, atoms, e, scale=scale))
+            rel.update(_add_atom(access, basis, atoms, e, scale=scale))
     else:
         raise MalformedInput("mode must be auto, exhaustive, or witness, not %r" % (mode,))
 

@@ -297,6 +297,19 @@ def test_scramble_then_recover(capsys, tmp_path):
     assert report["operations"] > 0
 
 
+def test_scramble_samples_of_the_empty_poset_are_typed(capsys):
+    """The empty poset has no primitive to draw: asking for samples is a
+    typed error, not a traceback; asking for none still scrambles."""
+    code, out = run(capsys, "scramble", "--proset", '{"elements":[]}', "--ring", "gf:2",
+                    "--samples", "1")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "SearchBudgetExceeded", "message": "the empty poset has no idempotents to sample"}
+    code, out = run(capsys, "scramble", "--proset", '{"elements":[]}', "--ring", "gf:2")
+    assert code == 0
+    assert json.loads(out)["bundle"]["dim"] == 0
+
+
 def test_recover_accepts_whole_scramble_report(capsys, tmp_path):
     pro = json.dumps({"elements": [0, 1, 2], "relations": [[0, 1], [1, 2]]})
     code, out = run(capsys, "scramble", "--proset", pro, "--ring", "gf:2",

@@ -188,6 +188,16 @@ def test_unknown_elements_raise_typed_error():
         unit(CHAIN3, ZZ, 2, 0)
 
 
+def test_zero_entry_under_an_unknown_label_is_typed():
+    """A zero entry is checked before it is dropped: under a label outside
+    the proset it raises as a nonzero one does; at an off-order pair of
+    known labels it is still the zero entry it always was."""
+    for pro in (Proset([0]), CHAIN3):
+        with pytest.raises(UnknownElement, match="^9 is not an element of the proset$"):
+            IncMatrix(pro, ZZ, {(9, 9): 0})
+    assert IncMatrix(CHAIN3, ZZ, {(2, 0): 0, (0, 2): 0}) == zero(CHAIN3, ZZ)
+
+
 def test_add_neg_scalar():
     rng = random.Random(31)
     for _ in range(30):

@@ -306,6 +306,16 @@ def test_scramble_sampler_draws_are_pinned():
     assert draws == [(0, 2, 2, 1, 1), (0, 1, 0, 1, 1)]
 
 
+def test_scramble_samples_of_the_empty_poset_are_typed():
+    """With no point to draw, sampling raises the error a bundle without
+    samples raises; a scramble without samples still works."""
+    with pytest.raises(SearchBudgetExceeded, match="^the empty poset has no idempotents to sample$"):
+        scramble(Proset([]), PrimeField(2), samples=1)
+    bundle, access = scramble(Proset([]), PrimeField(2))
+    assert bundle["dim"] == 0 and "samples" not in bundle
+    assert len(recover_poset(access, mode="witness").elements) == 0
+
+
 def test_scramble_requires_poset():
     looped = Proset([0, 1], [(0, 1), (1, 0)])
     with pytest.raises(PosetRequired):
@@ -445,6 +455,37 @@ def test_bundle_kernel_matches_dense_oracle_over_z_and_q():
     x = (QQ.one, QQ.one, z, z)
     y = (QQ.one, QQ.canon(3) / 2, z, z)
     assert access.is_zero(assert_kernel_matches_oracle(access, x, y))
+
+
+@pytest.mark.parametrize("ring", [PrimeField(2), PrimeField(3), ModRing(4), ZZ, QQ], ids=str)
+def test_efe_tells_points_apart_as_class_equiv_does(ring):
+    """For sampled primitives e and f, e.f.e is e when they are one point's
+    and 0 otherwise, so e.f.e != 0 agrees with class_equiv: the rule
+    witness mode uses to keep one atom per point."""
+    rng = random.Random(4)
+    seen = set()
+    for pro in enumerate_posets(1) + enumerate_posets(2) + enumerate_posets(3):
+        access = MatrixAccess(pro, ring)
+        draws = [access.sample_idempotent(rng) for _ in range(6)]
+        for e in draws:
+            for f in draws:
+                same = class_equiv(e, f)
+                assert e.mul(f).mul(e) == (e if same else access.zero())
+                seen.add((same, e == f))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_witness_recovers_every_small_poset_over_z_and_q(ring):
+    """Witness mode over infinite coefficients, where only samples can
+    show the points: every poset of at most 4 points, 2 scrambles each."""
+    for n in range(1, 5):
+        for pro in enumerate_posets(n):
+            for seed in range(2):
+                bundle, _ = scramble(pro, ring, seed=seed, samples=32)
+                access = BundleAccess(bundle, ring)
+                rec = recover_poset(access, mode="witness", rng=random.Random(seed + 1))
+                assert rec.poset_isomorphic(pro) is not None
 
 
 @pytest.mark.parametrize("n, relations, seed, samples", [
