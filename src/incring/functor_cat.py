@@ -33,7 +33,7 @@ from .errors import (
     UnknownElement,
 )
 from .matrices import IncMatrix, _raw, identity, scalar_diag, unit
-from .prosets import Proset, _close, _flood, elem_key
+from .prosets import Proset, _close, _connected, elem_key
 from .rings import PrimeField
 
 __all__ = [
@@ -97,11 +97,6 @@ class FccMap:
         return "FccMap(%r)" % (self.mapping,)
 
 
-def _singleton_convex(pro, v):
-    """The singleton {v} is convex, that is, v's class is {v}."""
-    return len(pro.equiv_class(v)) == 1
-
-
 def _component_kind(dom, cod, comp, imgs):
     """How sending the component `comp` of `dom`, in rank order, to `imgs`
     treats it: ("constant", v) or ("embedding",) when admissible, else the
@@ -111,7 +106,7 @@ def _component_kind(dom, cod, comp, imgs):
     interval between points of f(C), C convex in comp, pulls back into C."""
     values = set(imgs)
     if len(values) == 1:
-        return ("constant" if _singleton_convex(cod, imgs[0]) else "class", imgs[0])
+        return ("constant" if cod.is_convex(values) else "class", imgs[0])
     if len(values) < len(comp):
         return ("merge",)
     for s1, x in zip(comp, imgs):
@@ -481,12 +476,6 @@ def _cut_pieces(pro, a, b):
     right = [s for s in pro.elements if s not in na]
     mid = [s for s in left if s not in na]
     return left, right, mid
-
-
-def _connected(pro, piece):
-    """The subproset on `piece` is connected: comparability inside it is
-    comparability in `pro`."""
-    return len(_flood(pro, piece[0], piece)) == len(piece)
 
 
 def _extremal(pro, s):

@@ -81,6 +81,14 @@ def _flood(pro, start, within):
     return piece
 
 
+def _connected(pro, subset):
+    """The subset is connected along comparabilities inside it; the empty
+    set counts as connected.  The one connectivity test, for prosets,
+    families and generation cuts alike."""
+    subset = set(subset)
+    return not subset or len(_flood(pro, next(iter(subset)), subset)) == len(subset)
+
+
 def _is_convex(pro, subset):
     """Closed under intervals and connected inside the subset."""
     subset = set(subset)
@@ -92,7 +100,7 @@ def _is_convex(pro, subset):
                 if missing:
                     raise _unknown(missing[0])
                 return False
-    return not subset or len(_flood(pro, next(iter(subset)), subset)) == len(subset)
+    return _connected(pro, subset)
 
 
 def _window_proset(pro, window):
@@ -584,10 +592,11 @@ class ProsetFamily:
             elements, {a: frozenset(b for b in elements if leq(a, b)) for a in elements}
         )
 
-    # _flood, _is_convex and interval_closure read these through leq and interval
+    # _flood, _is_convex and interval_closure read these through leq and
+    # interval, which is () off the order
 
     def _between(self, s1, s2):
-        return self.interval(s1, s2) if self.leq(s1, s2) else ()
+        return self.interval(s1, s2)
 
     def _comparables(self, s, among):
         leq = self.leq
@@ -714,10 +723,12 @@ class NStarDivFamily(ProsetFamily):
         return isinstance(s, int) and not isinstance(s, bool) and s >= 1
 
     def leq(self, s1, s2):
+        if s1 < 1 or s2 < 1:
+            raise UnknownElement("%r is not an element of %s" % (min(s1, s2), self.kind))
         return s2 % s1 == 0
 
     def interval(self, s1, s2):
-        if s2 % s1 != 0:
+        if not self.leq(s1, s2):
             return ()
         q = s2 // s1
         divs = []
@@ -805,14 +816,34 @@ class AugmentedFamily(ProsetFamily):
         return self.base.is_z_like()
 
     def window(self, k):
-        need = k
-        while True:
-            w = interval_closure(self, set(self.base.window(need)).union(self._hub.elements))
-            if self.is_convex(w):
-                return _sorted(w)
-            need += 1
-            if need > k + 64:
+        """G(n), the interval closure of base.window(n) and the hub points,
+        for the least n >= k at which it is connected.  G(n) is closed, as z
+        in [x, y] with x in [a, b] and y in [c, d] gives a <= z <= d, so it
+        is convex once connected.  It stays connected as n grows, since the
+        base windows are connected and nested and every point an interval
+        adds is comparable to its ends; so n is found by galloping from k
+        (k, k + 1, k + 3, k + 7, ...), giving up after 64 doublings, and then
+        bisecting."""
+        hub = self._hub.elements
+
+        def closure(n):
+            return interval_closure(self, set(self.base.window(n)).union(hub))
+
+        lo, hi, step = k - 1, k, 1
+        w = closure(hi)
+        while not _connected(self, w):
+            if step == 2**64:
                 raise LocalFinitenessBudgetExceeded("augmented window did not close")
+            lo, hi, step = hi, hi + step, 2 * step
+            w = closure(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            got = closure(mid)
+            if _connected(self, got):
+                hi, w = mid, got
+            else:
+                lo = mid
+        return _sorted(w)
 
     def descriptor(self):
         return {
@@ -821,6 +852,12 @@ class AugmentedFamily(ProsetFamily):
                 "sets": [list(_sorted(s)) for s in self.sets],
             }
         }
+
+    def __eq__(self, other):
+        return type(self) is type(other) and (self.base, self.sets) == (other.base, other.sets)
+
+    def __hash__(self):
+        return hash((self.base, self.sets))
 
 
 class CustomFamily(ProsetFamily):
@@ -850,6 +887,8 @@ class CustomFamily(ProsetFamily):
         return self._leq(s1, s2)
 
     def interval(self, s1, s2):
+        if not self._leq(s1, s2):
+            return ()
         got = tuple(islice(iter(self._interval(s1, s2)), self.budget + 1))
         if len(got) > self.budget:
             raise LocalFinitenessBudgetExceeded(
@@ -874,4 +913,9 @@ class CustomFamily(ProsetFamily):
         return self._z_like
 
     def descriptor(self):
-        return {"family": "custom"}
+        raise MalformedInput("a custom family has no JSON descriptor")
+
+    # the callbacks are opaque, so two custom families are equal only when
+    # they are one object
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__

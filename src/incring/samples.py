@@ -149,10 +149,10 @@ def random_fcc_map(dom, cod, rng, constant_bias=0.5):
     """Random admissible map: each component flips between a constant onto a
     trivial-class point and a random convex embedding, each side falling back
     to the other when no choice exists."""
-    from .functor_cat import FccMap, _singleton_convex
+    from .functor_cat import FccMap
 
     mapping = {}
-    flat = [s for s in cod.elements if _singleton_convex(cod, s)]
+    flat = [s for s in cod.elements if cod.is_convex((s,))]
     for comp in dom.components():
         comp = sorted(comp, key=dom.rank.__getitem__)
         options = None

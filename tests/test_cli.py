@@ -772,3 +772,11 @@ def test_every_action_survives_hostile_values(capsys):
             kind = json.loads(captured.out)["error"]["type"]
             cls = getattr(incring.errors, kind, None) or getattr(builtins, kind, None)
             assert isinstance(cls, type) and issubclass(cls, (IncRingError, OSError)), argv
+
+
+def test_far_hub_window(capsys):
+    """A hub at 70 over Zig: the window search reaches [-69, 70]."""
+    code, out = run(capsys, "proset", "window", "--family",
+                    '{"augment":{"base":{"family":"Zig"},"sets":[[70]]}}', "--k", "1")
+    assert code == 0
+    assert json.loads(out)["window"] == list(range(-69, 71))

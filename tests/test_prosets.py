@@ -640,3 +640,100 @@ def test_colimit_quotients_match_a_rebuild():
         assert_rebuilt(pushout(f, g)[0])
         assert_rebuilt(coequalizer(f, f2)[0])
         done += 1
+
+
+# -- one convexity rule: intervals empty off the order, windows by search ----------
+
+
+def test_family_intervals_are_empty_exactly_off_the_order():
+    """Every family's interval is () exactly where leq fails, a custom one
+    included whose callback answers every pair, so the convexity test can
+    read intervals alone."""
+    spread = CustomFamily(leq=lambda a, b: a <= b,
+                          interval=lambda a, b: range(min(a, b), max(a, b) + 1),
+                          window=lambda k: range(-k, k + 1))
+    bases = [NFamily(), ZFamily(), ZigFamily(), NStarDivFamily()]
+    hubs = [{0, 3}, {-1, 2}, {0, 3}, {2, 3}]
+    families = bases + [AugmentedFamily(b, [h]) for b, h in zip(bases, hubs)] + [spread]
+    for fam in families:
+        win = fam.window(3)
+        for a in win:
+            for b in win:
+                assert (fam.interval(a, b) == ()) == (not fam.leq(a, b)), (fam, a, b)
+
+
+def test_interval_closure_is_already_closed():
+    """One pass closes: z in [x, y] with x in [a, b] and y in [c, d] lies in
+    [a, d].  Checked on seeded prosets and on subsets of family windows."""
+    rng = random.Random(28)
+    for pro in random_carriers(rng, 60):
+        subset = rng.sample(pro.elements, rng.randint(0, len(pro.elements)))
+        once = interval_closure(pro, subset)
+        assert interval_closure(pro, once) == once
+    for fam in FAMILIES:
+        win = fam.window(3)
+        for _ in range(10):
+            once = interval_closure(fam, rng.sample(win, rng.randint(1, 4)))
+            assert interval_closure(fam, once) == once
+
+
+def stepwise_window(fam, k):
+    """The former augmented window: grow the base window one step at a time
+    until the closure with the hub points passes the full convexity test."""
+    need = k
+    while True:
+        w = interval_closure(fam, set(fam.base.window(need)).union(fam._hub.elements))
+        if fam.is_convex(w):
+            return tuple(sorted(w))
+        need += 1
+
+
+def test_augmented_windows_match_the_stepwise_search():
+    rng = random.Random(29)
+    for i in range(16):
+        base = (NFamily(), ZFamily(), ZigFamily(), NStarDivFamily())[i % 4]
+        if isinstance(base, NStarDivFamily):
+            pool = list(range(1, 25))
+        else:
+            pool = list(range(0 if isinstance(base, NFamily) else -20, 21))
+        rng.shuffle(pool)
+        sets, used = [], 0
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(1, 3)
+            sets.append(frozenset(pool[used:used + size]))
+            used += size
+        fam = AugmentedFamily(base, sets)
+        for k in (1, 2, 3):
+            assert fam.window(k) == stepwise_window(fam, k), (base, sets, k)
+    # a hub far from the origin: 69 steps, past the former cap of 64
+    far = AugmentedFamily(ZigFamily(), [{70}])
+    assert far.window(1) == stepwise_window(far, 1) == tuple(range(-69, 71))
+
+
+def test_custom_families_compare_by_identity():
+    """Opaque callbacks cannot be compared, so neither can custom families
+    built from them: lazy matrices over two of them do not multiply."""
+    from incring.errors import IncompatibleOperands
+    from incring.io import family_to_json
+    from incring.lazy import lazy_finitary, lazy_mul
+
+    up = CustomFamily(leq=lambda a, b: a <= b, interval=lambda a, b: range(a, b + 1))
+    down = CustomFamily(leq=lambda a, b: a >= b, interval=lambda a, b: range(b, a + 1))
+    assert up == up and up != down and len({up, down}) == 2
+    assert AugmentedFamily(up, [{0}]) == AugmentedFamily(up, [{0}])
+    assert AugmentedFamily(up, [{0}]) != AugmentedFamily(down, [{0}])
+    assert len({AugmentedFamily(ZFamily(), [{0, 1}]), AugmentedFamily(ZFamily(), [{1, 0}])}) == 1
+    with pytest.raises(IncompatibleOperands):
+        lazy_mul(lazy_finitary(up, ZZ, {(0, 1): 1}), lazy_finitary(down, ZZ, {(1, 0): 1}))
+    for fam in (up, AugmentedFamily(up, [{0}])):
+        with pytest.raises(MalformedInput, match="custom family"):
+            family_to_json(fam)
+
+
+def test_nstar_div_refuses_labels_below_one():
+    fam = NStarDivFamily()
+    for a, b in ((0, 5), (5, 0), (-2, 4), (4, -2), (-3, -6)):
+        for query in (fam.leq, fam.interval):
+            with pytest.raises(UnknownElement, match="is not an element of NStarDiv"):
+                query(a, b)
+    assert fam.leq(1, 5) and fam.interval(2, 12) == (2, 4, 6, 12)
