@@ -14,10 +14,7 @@ decomposition tree is searched on the order alone: a cut at two classes
 glues back exactly when each is minimal or maximal and neither covers the
 other, so no pushout runs until reassemble, which pushes out each node once
 and certifies the tree by carrying each piece's isomorphism through the
-pushout legs, not by searching for one.  On the 31 four-class types the
-search takes 0.19 ms a type, against 0.89 ms when every candidate cut was
-pushed out, and the carriers benchmark's task_p99_ms fell from 2.63 to
-1.51 ms (2-core x86, Python 3.11.7).
+pushout legs, not by searching for one.
 """
 
 from .errors import (

@@ -216,11 +216,6 @@ class GroupElement:
     def mul(self, other):
         return GroupElement(self.matrix.mul(other.matrix))
 
-    def power(self, n):
-        if n >= 0:
-            return GroupElement(self.matrix.power(n))
-        return GroupElement(self.inverse_matrix.power(-n))
-
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.matrix == other.matrix
 

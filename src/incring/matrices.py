@@ -254,9 +254,6 @@ class IntervalIdeal:
             raise NotComparable("[%r, %r] is empty" % (self.s1, self.s2))
         return _pairs_within(pro, box)
 
-    def constraint(self):
-        return "zero"
-
 
 class ConvexIdeal:
     """I_{Lambda'}: matrices vanishing on every pair within a convex subset."""
@@ -268,9 +265,6 @@ class ConvexIdeal:
         if not pro.is_convex(self.subset):
             raise NotConvex("ideal subset is not convex")
         return _pairs_within(pro, self.subset)
-
-    def constraint(self):
-        return "zero"
 
 
 class LocallyConvexIdeal:
@@ -292,9 +286,6 @@ class LocallyConvexIdeal:
                     raise NotConvex("collection members are comparable")
         return set().union(*(_pairs_within(pro, s) for s in self.subsets))
 
-    def constraint(self):
-        return "zero"
-
 
 class CoeffIdeal:
     """M_Lambda(J): every entry lies in the coefficient ideal J."""
@@ -305,9 +296,6 @@ class CoeffIdeal:
 
     def region(self, pro):
         return set(pro.pairs())
-
-    def constraint(self):
-        return "coeff"
 
 
 class SumIdeal:
@@ -333,10 +321,10 @@ def ideal_membership(matrix, ideal):
     a coefficient part is summed in, else it must vanish.
     """
     parts = ideal.parts if isinstance(ideal, SumIdeal) else (ideal,)
-    coeffs = [p for p in parts if p.constraint() == "coeff"]
+    coeffs = [p for p in parts if isinstance(p, CoeffIdeal)]
     if len(coeffs) > 1:
         raise MalformedInput("at most one coefficient ideal per sum")
-    regions = [p.region(matrix.pro) for p in parts if p.constraint() == "zero"]
+    regions = [p.region(matrix.pro) for p in parts if not isinstance(p, CoeffIdeal)]
     member = coeffs[0].member if coeffs else None
     for pair, v in matrix.entries.items():
         if all(pair in r for r in regions) and (member is None or not member(v)):

@@ -96,9 +96,9 @@ def _is_convex(pro, subset):
     for a in subset:
         for b in subset:
             if not subset.issuperset(between(a, b)):
-                missing = _sorted(subset.difference(pro._up)) if isinstance(pro, Proset) else ()
+                missing = _sorted(s for s in subset if s not in pro)
                 if missing:
-                    raise _unknown(missing[0])
+                    pro.leq(missing[0], missing[0])  # refuses the first label it lacks
                 return False
     return _connected(pro, subset)
 
@@ -451,11 +451,6 @@ class Proset:
     def is_n_bounded(self, n):
         return all(len(self.neighborhood(s, 1)) <= n for s in self.elements)
 
-    def is_z_like(self):
-        """Every element comparable to every other (finite criterion)."""
-        full = set(self.elements)
-        return all(set(self.neighborhood(s, 1)) == full for s in self.elements)
-
     # -- isomorphism -------------------------------------------------------------
 
     def _signatures(self):
@@ -539,6 +534,11 @@ class ProsetFamily:
 
     Windows form a cofinal chain of finite convex subsets; restrict() turns
     one into an ordinary Proset.
+
+    A label outside the family is refused: every query raises
+    UnknownElement("-1 is not an element of N").  Each family's leq runs
+    both labels through _member, first argument first, and so do the
+    queries that skip leq; the others ask leq.
     """
 
     kind = "?"
@@ -550,6 +550,13 @@ class ProsetFamily:
     def __contains__(self, s):
         return self.contains(s)
 
+    def _member(self, s):
+        """s itself when the family holds it, else UnknownElement: the one
+        membership test of every family query."""
+        if self.contains(s):
+            return s
+        raise UnknownElement("%r is not an element of %s" % (s, self.kind))
+
     def leq(self, s1, s2):
         raise NotImplementedError
 
@@ -557,12 +564,14 @@ class ProsetFamily:
         raise NotImplementedError
 
     def equiv_class(self, s):
-        return frozenset(self.interval(s, s)) or frozenset((s,))
+        return frozenset(self.interval(s, s))
 
     def up_set(self, s):
+        self._member(s)
         raise InfiniteNeighborhood("%s has infinite up-sets" % self.kind)
 
     def down_set(self, s):
+        self._member(s)
         raise InfiniteNeighborhood("%s has infinite down-sets" % self.kind)
 
     neighborhood = _neighborhood
@@ -582,11 +591,10 @@ class ProsetFamily:
         return [self.window(k) for k in range(start, start + count)]
 
     def restrict(self, subset):
-        """Induced finite subproset; the family's order is already closed."""
+        """Induced finite subproset; the family's order is already closed.
+        leq(e, e) on the first element runs first, so a missing label is
+        named in elem_key order."""
         elements = _sorted(set(subset))
-        for s in elements:
-            if not self.contains(s):
-                raise UnknownElement("%r is not an element of %s" % (s, self.kind))
         leq = self.leq
         return Proset._closed(
             elements, {a: frozenset(b for b in elements if leq(a, b)) for a in elements}
@@ -606,9 +614,6 @@ class ProsetFamily:
     _window_proset = _window_proset
 
     def is_poset(self):
-        return True
-
-    def is_irreducible(self):
         return True
 
     def is_z_like(self):
@@ -636,10 +641,10 @@ class NFamily(ProsetFamily):
         return isinstance(s, int) and not isinstance(s, bool) and s >= 0
 
     def leq(self, s1, s2):
-        return s1 <= s2
+        return self._member(s1) <= self._member(s2)
 
     def interval(self, s1, s2):
-        if s1 > s2:
+        if not self.leq(s1, s2):
             return ()
         return tuple(range(s1, s2 + 1))
 
@@ -662,10 +667,10 @@ class ZFamily(ProsetFamily):
         return isinstance(s, int) and not isinstance(s, bool)
 
     def leq(self, s1, s2):
-        return s1 <= s2
+        return self._member(s1) <= self._member(s2)
 
     def interval(self, s1, s2):
-        if s1 > s2:
+        if not self.leq(s1, s2):
             return ()
         return tuple(range(s1, s2 + 1))
 
@@ -688,22 +693,21 @@ class ZigFamily(ProsetFamily):
         return isinstance(s, int) and not isinstance(s, bool)
 
     def leq(self, s1, s2):
+        s1, s2 = self._member(s1), self._member(s2)
         return s1 == s2 or (s1 % 2 == 0 and abs(s2 - s1) == 1)
 
     def interval(self, s1, s2):
-        if s1 == s2:
-            return (s1,)
         if self.leq(s1, s2):
-            return _sorted((s1, s2))
+            return _sorted({s1, s2})
         return ()
 
     def up_set(self, s):
-        if s % 2 == 0:
+        if self._member(s) % 2 == 0:
             return (s - 1, s, s + 1)
         return (s,)
 
     def down_set(self, s):
-        if s % 2 == 0:
+        if self._member(s) % 2 == 0:
             return (s,)
         return (s - 1, s, s + 1)
 
@@ -723,8 +727,7 @@ class NStarDivFamily(ProsetFamily):
         return isinstance(s, int) and not isinstance(s, bool) and s >= 1
 
     def leq(self, s1, s2):
-        if s1 < 1 or s2 < 1:
-            raise UnknownElement("%r is not an element of %s" % (min(s1, s2), self.kind))
+        s1, s2 = self._member(s1), self._member(s2)
         return s2 % s1 == 0
 
     def interval(self, s1, s2):
@@ -741,6 +744,7 @@ class NStarDivFamily(ProsetFamily):
         return tuple(sorted(set(divs)))
 
     def up_set(self, s):
+        self._member(s)
         raise InfiniteNeighborhood("every element of N*_div has infinitely many multiples")
 
     def down_set(self, s):
@@ -795,9 +799,9 @@ class AugmentedFamily(ProsetFamily):
         return any(leq(u, s2) for u in self._from(s1))
 
     def interval(self, s1, s2):
-        base, ends = self.base, self._to(s2)
+        base, starts, ends = self.base, self._from(s1), self._to(s2)
         out = set()
-        for u in self._from(s1):
+        for u in starts:
             for v in ends:
                 if base.leq(u, v):
                     out.update(base.interval(u, v))
@@ -884,10 +888,10 @@ class CustomFamily(ProsetFamily):
         return self._contains(s)
 
     def leq(self, s1, s2):
-        return self._leq(s1, s2)
+        return self._leq(self._member(s1), self._member(s2))
 
     def interval(self, s1, s2):
-        if not self._leq(s1, s2):
+        if not self.leq(s1, s2):
             return ()
         got = tuple(islice(iter(self._interval(s1, s2)), self.budget + 1))
         if len(got) > self.budget:

@@ -45,7 +45,7 @@ from .errors import (
     RingBooleanPartTooLarge,
     SearchBudgetExceeded,
 )
-from .matrices import IncMatrix, indicator, unit
+from .matrices import IncMatrix, identity, indicator, unit, zero
 from .prosets import Proset, elem_key
 from .io import parse_value
 from .rings import ModRing
@@ -151,7 +151,16 @@ def class_leq(e, f):
 # -- access protocol --------------------------------------------------------------
 
 
-class MatrixAccess:
+class _Access:
+    """What the two accesses share: a carrier of |ring|^dim elements."""
+
+    def carrier_size(self):
+        if not self.ring.finite:
+            return None
+        return len(self.ring.elements()) ** self.dim
+
+
+class MatrixAccess(_Access):
     """Direct access to a finite matrix ring.  Elements are IncMatrix values."""
 
     def __init__(self, pro, ring):
@@ -175,10 +184,10 @@ class MatrixAccess:
         return x.neg()
 
     def zero(self):
-        return IncMatrix(self.pro, self.ring, {})
+        return zero(self.pro, self.ring)
 
     def one(self):
-        return indicator(self.pro, self.ring, self.pro.elements)
+        return identity(self.pro, self.ring)
 
     def is_zero(self, x):
         return x.is_zero()
@@ -187,11 +196,6 @@ class MatrixAccess:
         from .glgroup import enumerate_matrices
 
         return enumerate_matrices(self.pro, self.ring)
-
-    def carrier_size(self):
-        if not self.ring.finite:
-            return None
-        return len(self.ring.elements()) ** self.dim
 
     def basis(self):
         return [unit(self.pro, self.ring, a, b) for a, b in self.pro.pairs()]
@@ -206,7 +210,7 @@ class MatrixAccess:
         return w.mul(indicator(self.pro, self.ring, [s])).mul(invert(w))
 
 
-class BundleAccess:
+class BundleAccess(_Access):
     """Access through a structure-constant bundle.  Elements are coefficient
     tuples over an opaque basis; multiplication reads the table.  `table`
     keeps the parsed dense table, cell [i][j] holding the coordinates of
@@ -289,11 +293,6 @@ class BundleAccess:
         vals = self.ring.elements()
         for combo in itertools.product(vals, repeat=self.dim):
             yield tuple(combo)
-
-    def carrier_size(self):
-        if not self.ring.finite:
-            return None
-        return len(self.ring.elements()) ** self.dim
 
     def basis(self):
         ring = self.ring
@@ -528,9 +527,8 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     `_primitive_split`): each primitive is certified in its corner ring,
     and the other nodes scan the idempotents of the enumerated carrier,
     read lazily: a scrambled 4-chain over F2 spends 170-290 ring
-    operations, where squaring its 1,024 elements and scanning every
-    idempotent spent about 1,780.  It refuses carriers of more than 2^14
-    elements; `auto` picks it up to that size and `witness` above.
+    operations.  It refuses carriers of more than 2^14 elements; `auto`
+    picks it up to that size and `witness` above.
     `witness` draws sampled idempotents (which are primitive) and skips a
     draw e that is 0 or has e.f.e != 0 for a kept atom f: e.f.e = x_st.y_ts.e
     is e for one point and 0 for two (see the module docstring).  Each

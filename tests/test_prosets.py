@@ -737,3 +737,42 @@ def test_nstar_div_refuses_labels_below_one():
             with pytest.raises(UnknownElement, match="is not an element of NStarDiv"):
                 query(a, b)
     assert fam.leq(1, 5) and fam.interval(2, 12) == (2, 4, 6, 12)
+
+
+def test_families_refuse_labels_they_lack():
+    """One membership rule: every family query refuses a label outside the
+    family with UnknownElement, in either argument, over the built-in
+    families, an augmentation of each, and a custom family whose `contains`
+    callback is stricter than its `leq` callback.  The member beside each
+    label is 2, as a set would merge True with 1."""
+    custom = CustomFamily(leq=lambda a, b: a <= b, interval=lambda a, b: range(a, b + 1),
+                          contains=lambda s: type(s) is int and s >= 0)
+    bases = [(NFamily(), [-1]), (ZFamily(), []), (ZigFamily(), []),
+             (NStarDivFamily(), [0]), (custom, [-1])]
+    cases = []
+    for base, own in bases:
+        cases.append((base, own))
+        cases.append((AugmentedFamily(base, [{1, 2}]), own))
+    for fam, own in cases:
+        for bad in own + [0.5, "a", (0,), True]:
+            queries = {
+                "leq(bad, 2)": lambda: fam.leq(bad, 2),
+                "leq(2, bad)": lambda: fam.leq(2, bad),
+                "interval(bad, 2)": lambda: fam.interval(bad, 2),
+                "interval(2, bad)": lambda: fam.interval(2, bad),
+                "up_set": lambda: fam.up_set(bad),
+                "down_set": lambda: fam.down_set(bad),
+                "equiv_class": lambda: fam.equiv_class(bad),
+                "neighborhood": lambda: fam.neighborhood(bad, 1),
+                "restrict": lambda: fam.restrict([2, bad]),
+                "is_convex": lambda: fam.is_convex([2, bad]),
+            }
+            for name, query in queries.items():
+                with pytest.raises(UnknownElement, match="is not an element of"):
+                    query()
+                    pytest.fail("%r.%s answered for %r" % (fam, name, bad))
+    for query in (NFamily().restrict, NFamily().is_convex):
+        with pytest.raises(UnknownElement, match="^-2 is not an element of N$"):
+            query([3, -1, -2, 5])
+    with pytest.raises(UnknownElement, match="^-1 is not an element of Custom$"):
+        custom.leq(-1, 0)

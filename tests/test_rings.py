@@ -126,3 +126,11 @@ def test_lower_all_keeps_zeros_and_agrees_with_lower(ring):
         assert got == tuple(ring.add(ring.add(v, v), v) for v in values)
         assert [type(v) for v in got] == [type(ring.zero)] * len(values)
         assert {k: v for k, v in enumerate(got) if v} == ring.lower(dict(enumerate(acc)), scale)
+
+
+def test_has_unit_pair_over_z_mod_n_matches_the_scan():
+    """The closed form, n odd, against trying every pair of units."""
+    for n in range(2, 61):
+        ring = ModRing(n)
+        scan = any(ring.is_unit(ring.sub(p1, p2)) for p1 in ring.units() for p2 in ring.units())
+        assert ring.has_unit_pair() == scan, n
