@@ -239,7 +239,11 @@ def agl_invert(g):
 # -- quasi-Z windows ----------------------------------------------------------------
 
 
-def qz_window_check(family, ring, window, inner, cap=200000):
+# elements either closure may reach before SearchBudgetExceeded
+_QZ_CAP = 200000
+
+
+def qz_window_check(family, ring, window, inner):
     """Verify on finite data that the subgroup generated by units supported on
     sets with N_1-closure inside `window` projects onto the whole unit group
     of the `inner` window.
@@ -280,8 +284,8 @@ def qz_window_check(family, ring, window, inner, cap=200000):
     projected = [m.project(inner) for m in lifts]
     if projected != gens:
         raise AssertionError("projections no longer match the inner generators")
-    reached = mulclose(projected, cap=cap)
-    full = set(enumerate_invertibles(ipro, ring, cap=cap))
+    reached = mulclose(projected, cap=_QZ_CAP)
+    full = set(enumerate_invertibles(ipro, ring, cap=_QZ_CAP))
     return {
         "window": sorted(window),
         "inner": sorted(inner),

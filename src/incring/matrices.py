@@ -290,9 +290,8 @@ class LocallyConvexIdeal:
 class CoeffIdeal:
     """M_Lambda(J): every entry lies in the coefficient ideal J."""
 
-    def __init__(self, member, label="J"):
+    def __init__(self, member):
         self.member = member
-        self.label = label
 
     def region(self, pro):
         return set(pro.pairs())

@@ -402,14 +402,12 @@ class Proset:
             frontier = nxt
         raise NotConnected("no connecting path exists")
 
-    def gamma_enumerate(self, bound=None):
-        """All nonempty convex subsets with at most `bound` elements.  Every
-        subset of that size is tested, and the answer itself can be
-        exponential: a bottom below n - 1 atoms has 2^(n-1) + n - 1."""
-        if bound is None:
-            bound = len(self.elements)
+    def gamma_enumerate(self):
+        """All nonempty convex subsets.  Every subset is tested, and the
+        answer itself can be exponential: a bottom below n - 1 atoms has
+        2^(n-1) + n - 1."""
         out = []
-        for k in range(1, bound + 1):
+        for k in range(1, len(self.elements) + 1):
             for combo in combinations(self.elements, k):
                 if self.is_convex(combo):
                     out.append(frozenset(combo))
@@ -587,8 +585,8 @@ class ProsetFamily:
         """k-th member of the canonical window chain, as a tuple of elements."""
         raise NotImplementedError
 
-    def windows(self, count, start=1):
-        return [self.window(k) for k in range(start, start + count)]
+    def windows(self, count):
+        return [self.window(k) for k in range(1, count + 1)]
 
     def restrict(self, subset):
         """Induced finite subproset; the family's order is already closed.
@@ -615,9 +613,6 @@ class ProsetFamily:
 
     def is_poset(self):
         return True
-
-    def is_z_like(self):
-        return False
 
     def descriptor(self):
         raise NotImplementedError
@@ -651,9 +646,6 @@ class NFamily(ProsetFamily):
     def window(self, k):
         return tuple(range(k + 1))
 
-    def is_z_like(self):
-        return True
-
     def descriptor(self):
         return {"family": "N"}
 
@@ -676,9 +668,6 @@ class ZFamily(ProsetFamily):
 
     def window(self, k):
         return tuple(range(-k, k + 1))
-
-    def is_z_like(self):
-        return True
 
     def descriptor(self):
         return {"family": "Z"}
@@ -816,9 +805,6 @@ class AugmentedFamily(ProsetFamily):
     def is_poset(self):
         return all(len(s) == 1 for s in self.sets) and self.base.is_poset()
 
-    def is_z_like(self):
-        return self.base.is_z_like()
-
     def window(self, k):
         """G(n), the interval closure of base.window(n) and the hub points,
         for the least n >= k at which it is connected.  G(n) is closed, as z
@@ -875,14 +861,13 @@ class CustomFamily(ProsetFamily):
     kind = "Custom"
 
     def __init__(self, leq, interval, contains=None, window=None,
-                 budget=DEFAULT_BUDGET, poset=True, z_like=False):
+                 budget=DEFAULT_BUDGET, poset=True):
         self._leq = leq
         self._interval = interval
         self._contains = contains or (lambda s: True)
         self._window = window
         self.budget = budget
         self._poset = poset
-        self._z_like = z_like
 
     def contains(self, s):
         return self._contains(s)
@@ -893,28 +878,22 @@ class CustomFamily(ProsetFamily):
     def interval(self, s1, s2):
         if not self.leq(s1, s2):
             return ()
-        got = tuple(islice(iter(self._interval(s1, s2)), self.budget + 1))
-        if len(got) > self.budget:
-            raise LocalFinitenessBudgetExceeded(
-                "interval [%r, %r] exceeded budget %d" % (s1, s2, self.budget)
-            )
-        return _sorted(got)
+        return _sorted(self._capped(self._interval(s1, s2), "interval [%r, %r]" % (s1, s2)))
 
     def window(self, k):
         if self._window is None:
             raise MalformedInput("this custom family has no window callback")
-        got = tuple(islice(iter(self._window(k)), self.budget + 1))
+        return self._capped(self._window(k), "window %d" % k)
+
+    def _capped(self, items, what):
+        """The callback's items as a tuple, refused past `budget` of them."""
+        got = tuple(islice(iter(items), self.budget + 1))
         if len(got) > self.budget:
-            raise LocalFinitenessBudgetExceeded(
-                "window %d exceeded budget %d" % (k, self.budget)
-            )
+            raise LocalFinitenessBudgetExceeded("%s exceeded budget %d" % (what, self.budget))
         return got
 
     def is_poset(self):
         return self._poset
-
-    def is_z_like(self):
-        return self._z_like
 
     def descriptor(self):
         raise MalformedInput("a custom family has no JSON descriptor")

@@ -33,7 +33,6 @@ both factors nonzero and one reduction per output coordinate
 """
 
 import itertools
-import math
 import random
 
 from .errors import (
@@ -48,7 +47,7 @@ from .errors import (
 from .matrices import IncMatrix, identity, indicator, unit, zero
 from .prosets import Proset, elem_key
 from .io import parse_value
-from .rings import ModRing
+from .rings import ModRing, _prime_factors
 
 __all__ = [
     "is_topologically_nilpotent",
@@ -371,14 +370,7 @@ def _squarings(access):
     and dim.k over Z/p^k (k the prime factors of n, with multiplicity).  A
     nilpotent x cuts a strictly falling chain R > xR > x^2.R > ... > 0 (over
     Z, read it over Q), so x^L = 0."""
-    k = 1
-    if isinstance(access.ring, ModRing):
-        n, k, p = access.ring.n, 0, 2
-        while p * p <= n:
-            while n % p == 0:
-                n, k = n // p, k + 1
-            p += 1
-        k += n > 1
+    k = len(_prime_factors(access.ring.n)) if isinstance(access.ring, ModRing) else 1
     return (access.dim * k - 1).bit_length()
 
 
@@ -559,7 +551,7 @@ def recover_poset(access, mode="auto", budget=10**5, rng=None):
     scale = None  # p^(a-1).1 over Z/p^a with a >= 2 (see _add_atom)
     if isinstance(access.ring, ModRing):
         n = access.ring.n
-        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        p = _prime_factors(n)[0]
         if n > p:
             scale = _multiple(access, n // p, access.one())
 

@@ -300,15 +300,21 @@ class ModRing(CoeffRing):
         return {"ring": {"mod": self.n}}
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+def _prime_factors(n):
+    """The primes dividing n, ascending, each as often as it divides n."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_prime(p):
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 class PrimeField(ModRing):

@@ -106,31 +106,33 @@ def irreducible_prosets(n):
     return [p for p in enumerate_prosets(n) if p.is_irreducible()]
 
 
-def random_poset(n, rng, density=0.35):
-    """Random poset: random relations along a shuffled linear order."""
+def random_poset(n, rng):
+    """Random poset: each pair along a shuffled linear order is related
+    with probability 0.35."""
     order = list(range(n))
     rng.shuffle(order)
     rel = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < density:
+            if rng.random() < 0.35:
                 rel.append((order[i], order[j]))
     return Proset(range(n), rel)
 
 
-def random_proset(n, rng, density=0.35):
+def random_proset(n, rng):
     """Random proset: random class sizes over a random poset of classes."""
     k = rng.randint(1, n)
     cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
     sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
-    quotient = random_poset(k, rng, density)
-    return _blow_up(quotient, sizes)
+    return _blow_up(random_poset(k, rng), sizes)
 
 
-def random_matrix(pro, ring, rng, density=0.6):
+def random_matrix(pro, ring, rng):
+    """Random element of M_ring(pro): each order pair draws an entry with
+    probability 0.6."""
     entries = {}
     for p in pro.pairs():
-        if rng.random() < density:
+        if rng.random() < 0.6:
             v = ring.random(rng)
             if v != ring.zero:
                 entries[p] = v
@@ -145,10 +147,10 @@ def _component_embeddings(comp, dom, cod):
     return [m for m in maps if cod.is_convex(m.values())]
 
 
-def random_fcc_map(dom, cod, rng, constant_bias=0.5):
-    """Random admissible map: each component flips between a constant onto a
-    trivial-class point and a random convex embedding, each side falling back
-    to the other when no choice exists."""
+def random_fcc_map(dom, cod, rng):
+    """Random admissible map: each component flips a fair coin between a
+    constant onto a trivial-class point and a random convex embedding, each
+    side falling back to the other when no choice exists."""
     from .functor_cat import FccMap
 
     mapping = {}
@@ -156,7 +158,7 @@ def random_fcc_map(dom, cod, rng, constant_bias=0.5):
     for comp in dom.components():
         comp = sorted(comp, key=dom.rank.__getitem__)
         options = None
-        if not flat or rng.random() >= constant_bias:
+        if not flat or rng.random() >= 0.5:
             options = _component_embeddings(comp, dom, cod)
         if options:
             choice = options[rng.randrange(len(options))]
@@ -171,23 +173,24 @@ def random_fcc_map(dom, cod, rng, constant_bias=0.5):
     return FccMap(dom, cod, mapping)
 
 
-def random_finitary(family, ring, rng, span=3, density=0.5, invertible=True):
-    """Random finitary element supported inside window(span).  With
-    `invertible` the diagonal stays on units, so over poset families the
-    element is a unit."""
+def random_finitary(family, ring, rng, span=3, invertible=True):
+    """Random finitary element supported inside window(span): each strict
+    pair draws an entry with probability 1/2, and each diagonal point draws
+    an exception to the default 1 with probability 1/4.  With `invertible` the diagonal
+    stays on units, so over poset families the element is a unit."""
     from .lazy import lazy_finitary
 
     window = list(family.window(span))
     sub = family.restrict(window)
     off = {}
     for (s1, s2) in sub.strict_pairs():
-        if rng.random() < density:
+        if rng.random() < 0.5:
             v = ring.random(rng)
             if v != ring.zero:
                 off[(s1, s2)] = v
     exceptions = {}
     for s in window:
-        if rng.random() < density * 0.5:
+        if rng.random() < 0.25:
             if invertible:
                 units = [u for u in (ring.canon(-1), ring.canon(2), ring.canon(3)) if ring.is_unit(u)]
                 if ring.finite:

@@ -176,7 +176,7 @@ def test_normal_subgroup_membership():
 
 def test_normal_subgroup_membership_of_coefficient_and_sum_ideals():
     """The congruence subgroup of any ideal I is the units g with g - 1 in I."""
-    two_z = CoeffIdeal(lambda v: v % 2 == 0, label="2Z")
+    two_z = CoeffIdeal(lambda v: v % 2 == 0)
     one = identity(CHAIN3, ZZ)
     g = one.add(unit(CHAIN3, ZZ, 0, 1, 2))  # 1 + 2 e01
     assert normal_subgroup_membership(certify(g), two_z)

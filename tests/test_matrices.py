@@ -366,7 +366,7 @@ def test_ideal_absorbs_products():
 
 
 def test_coeff_and_sum_ideals():
-    even = CoeffIdeal(lambda v: v % 2 == 0, label="2Z")
+    even = CoeffIdeal(lambda v: v % 2 == 0)
     a = scalar_diag(CHAIN3, ZZ, 2)
     assert ideal_membership(a, even)
     assert not ideal_membership(identity(CHAIN3, ZZ), even)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from incring.errors import NotInvertible
-from incring.rings import ModRing, PrimeField, QQ, ZZ
+from incring.rings import ModRing, PrimeField, QQ, ZZ, _is_prime, _prime_factors
 
 RINGS = [ZZ, QQ, ModRing(6), ModRing(8), ModRing(9), PrimeField(2), PrimeField(3), PrimeField(5)]
 
@@ -134,3 +134,20 @@ def test_has_unit_pair_over_z_mod_n_matches_the_scan():
         ring = ModRing(n)
         scan = any(ring.is_unit(ring.sub(p1, p2)) for p1 in ring.units() for p2 in ring.units())
         assert ring.has_unit_pair() == scan, n
+
+
+def test_prime_factors_match_trial_division_by_every_number():
+    """Ascending primes with multiplicity, against peeling off the least
+    divisor found by trying every number from 2."""
+    for n in range(1, 3001):
+        want, rest = [], n
+        while rest > 1:
+            d = next(d for d in range(2, rest + 1) if rest % d == 0)
+            want.append(d)
+            rest //= d
+        assert _prime_factors(n) == want, n
+
+
+def test_is_prime_accepts_exactly_the_primes():
+    primes = [p for p in range(2, 301) if all(p % d for d in range(2, p))]
+    assert [p for p in range(-3, 301) if _is_prime(p)] == primes
