@@ -490,7 +490,9 @@ def _cut_glues(pro, a, b):
         return False
     if pro.leq(b, a):
         a, b = b, a
-    return not pro.leq(a, b) or bool(pro._between(a, b) - pro.down_set(a) - pro.up_set(b))
+    if not pro.leq(a, b):
+        return True
+    return bool((pro.up_set(a) & pro.down_set(b)) - pro.down_set(a) - pro.up_set(b))
 
 
 def generation_decompose(pro):

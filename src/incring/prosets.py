@@ -73,7 +73,7 @@ def _flood(pro, start, within):
     piece = {start}
     rest = set(within) - piece
     stack = [start]
-    while stack:
+    while stack and rest:
         reached = pro._comparables(stack.pop(), rest)
         rest.difference_update(reached)
         piece.update(reached)
@@ -90,17 +90,9 @@ def _connected(pro, subset):
 
 
 def _is_convex(pro, subset):
-    """Closed under intervals and connected inside the subset."""
+    """Convex: its own interval closure, and connected inside itself."""
     subset = set(subset)
-    between = pro._between
-    for a in subset:
-        for b in subset:
-            if not subset.issuperset(between(a, b)):
-                missing = _sorted(s for s in subset if s not in pro)
-                if missing:
-                    pro.leq(missing[0], missing[0])  # refuses the first label it lacks
-                return False
-    return _connected(pro, subset)
+    return interval_closure(pro, subset) == subset and _connected(pro, subset)
 
 
 def _window_proset(pro, window):
@@ -263,14 +255,6 @@ class Proset:
             return ()
         return tuple(sorted(self._up[s1] & self._down[s2], key=self.rank.__getitem__))
 
-    # _flood, _is_convex and interval_closure read these unsorted sets
-
-    def _between(self, s1, s2):
-        try:
-            return self._up[s1] & self._down[s2]
-        except KeyError as miss:
-            raise _unknown(miss.args[0]) from None
-
     def _comparables(self, s, among):
         try:
             return among & (self._up[s] | self._down[s])
@@ -353,7 +337,7 @@ class Proset:
         """A convex superset of `subset`, which must sit in one component:
         its interval closure, grown along canonical shortest paths.
 
-        Interval closure is a single pass over comparable pairs.  While the
+        The interval closure is up(S) & down(S) (interval_closure).  While the
         closure is still disconnected, the shortest path (first in canonical
         order) from one piece to the rest is added and the closure rerun, so
         the choice is deterministic.  The result equals the subset exactly
@@ -513,13 +497,25 @@ def two_block(m, n=0):
 
 
 def interval_closure(pro, subset):
-    """One-pass interval closure; works for Proset and family alike."""
+    """The union of [a, b] over a, b in the subset, for Proset and family
+    alike: up(S) & down(S), or, where up- and down-sets are infinite (N, Z,
+    N*_div, custom families and augmentations of these), every interval(a, b)
+    in turn.  Of several labels it lacks, pro refuses the first by elem_key."""
     subset = set(subset)
-    out = set(subset)
-    for a in subset:
-        for b in subset:
-            out.update(pro._between(a, b))
-    return frozenset(out)
+    try:
+        try:
+            above, below = set(), set()
+            for a in subset:
+                above.update(pro.up_set(a))
+                below.update(pro.down_set(a))
+            return frozenset(above & below)
+        except InfiniteNeighborhood:
+            return frozenset(subset).union(*(pro.interval(a, b) for a in subset for b in subset))
+    except UnknownElement:
+        missing = _sorted(s for s in subset if s not in pro)
+        if missing:
+            pro.leq(missing[0], missing[0])
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +594,14 @@ class ProsetFamily:
             elements, {a: frozenset(b for b in elements if leq(a, b)) for a in elements}
         )
 
-    # _flood, _is_convex and interval_closure read these through leq and
-    # interval, which is () off the order
-
-    def _between(self, s1, s2):
-        return self.interval(s1, s2)
-
     def _comparables(self, s, among):
-        leq = self.leq
-        return {u for u in among if leq(s, u) or leq(u, s)}
+        """The members of `among` comparable to s: among & (up-set | down-set),
+        or one leq scan of `among` where those sets are infinite."""
+        try:
+            return among.intersection({*self.up_set(s), *self.down_set(s)})
+        except InfiniteNeighborhood:
+            leq = self.leq
+            return {u for u in among if leq(s, u) or leq(u, s)}
 
     is_convex = _is_convex
     _window_proset = _window_proset

@@ -780,3 +780,15 @@ def test_far_hub_window(capsys):
                     '{"augment":{"base":{"family":"Zig"},"sets":[[70]]}}', "--k", "1")
     assert code == 0
     assert json.loads(out)["window"] == list(range(-69, 71))
+
+
+def test_the_first_missing_label_is_named(capsys):
+    """With several labels the proset lacks, the closure and the projection
+    name the first in label order, whatever the hash seed."""
+    pro = '{"elements":["a","b"],"relations":[["a","b"]]}'
+    for argv in (("proset", "closure", "--proset", pro),
+                 ("algebra", "project", "--a", '{"proset":%s,"ring":"Q"}' % pro)):
+        code, out = run(capsys, *argv, "--subset", "a,qq,rr,ss")
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "UnknownElement", "message": "'qq' is not an element of the proset"}

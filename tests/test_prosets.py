@@ -484,7 +484,7 @@ def test_a_proset_refuses_a_label_it_lacks():
                     cls = alone if s == x else pro.equiv_class(s)
                     for a, b, ca, cb in ((s, x, cls, alone), (x, s, alone, cls)):
                         calls += [
-                            (pro.leq, a, b), (pro.interval, a, b), (pro._between, a, b),
+                            (pro.leq, a, b), (pro.interval, a, b),
                             (pro.class_leq, ca, cb), (m.entry, a, b),
                             (IncMatrix, pro, ZZ, {(a, b): 1}), (unit, pro, ZZ, a, b),
                         ]
@@ -740,6 +740,27 @@ def test_interval_closure_is_already_closed():
         for _ in range(10):
             once = interval_closure(fam, rng.sample(win, rng.randint(1, 4)))
             assert interval_closure(fam, once) == once
+
+
+def test_interval_closure_is_the_union_of_intervals():
+    """interval_closure(S) is S with every [a, b], a and b in S: on every
+    subset of every proset of at most five points, and on random subsets of
+    each family's window(3), where Zig and augmented Zig read up- and
+    down-sets and the others take intervals pair by pair."""
+
+    def by_definition(pro, subset):
+        return frozenset(subset).union(*(pro.interval(a, b) for a in subset for b in subset))
+
+    for n in range(1, 6):
+        for pro in enumerate_prosets(n):
+            for subset in subsets(pro.elements):
+                assert interval_closure(pro, subset) == by_definition(pro, subset), (pro, subset)
+    rng = random.Random(31)
+    for fam in FAMILIES:
+        win = fam.window(3)
+        for _ in range(40):
+            subset = rng.sample(win, rng.randint(0, min(5, len(win))))
+            assert interval_closure(fam, subset) == by_definition(fam, subset), (fam, subset)
 
 
 def stepwise_window(fam, k):
