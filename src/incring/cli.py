@@ -91,7 +91,19 @@ def _window(fam, k):
     return sorted(fam.window(k), key=elem_key)
 
 
-def _label(text):
+def _label(text, fam):
+    """A label on the command line.  On a finite proset it is matched
+    against the elements as the JSON readers match one, so "1" names the
+    element "1" where there is one; on a family, or where nothing matches,
+    it is an int when it spells one, else the text."""
+    from .io import _resolve
+    from .prosets import Proset
+
+    if isinstance(fam, Proset):
+        try:
+            return _resolve(text, fam.elements)
+        except UnknownElement:
+            pass
     try:
         return int(text)
     except ValueError:
@@ -166,7 +178,7 @@ def cmd_proset(args):
             fam = _family_arg(args.family)
         else:
             fam = proset_from_json(_load_ref(args.proset))
-        ends = [_label(_need(args.frm, "--from")), _label(_need(args.to, "--to"))]
+        ends = [_label(_need(args.frm, "--from"), fam), _label(_need(args.to, "--to"), fam)]
         for s in ends:
             if s not in fam:
                 raise UnknownElement("%r is not an element of %r" % (s, fam))
@@ -176,7 +188,7 @@ def cmd_proset(args):
         return _emit(args, {"window": _window(fam, _need(args.k, "--k"))})
     if args.action == "closure":
         pro = proset_from_json(_load_ref(args.proset))
-        subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
+        subset = [_label(x, pro) for x in _need(args.subset, "--subset").split(",")]
         return _emit(args, {"closure": sorted(pro.convex_closure(subset), key=elem_key)})
     # check: argparse admits no other action
     pro = proset_from_json(_load_ref(args.proset))
@@ -206,7 +218,7 @@ def cmd_algebra(args):
         return _emit(args, {"result": matrix_to_json(out)})
     # project: argparse admits no other action
     a = matrix_from_json(_load_ref(args.a))
-    subset = [_label(x) for x in _need(args.subset, "--subset").split(",")]
+    subset = [_label(x, a.pro) for x in _need(args.subset, "--subset").split(",")]
     return _emit(args, {"result": matrix_to_json(a.project(subset))})
 
 
@@ -274,7 +286,7 @@ def cmd_lazy(args):
 
 
 def cmd_recover(args):
-    from .io import bundle_from_json, proset_from_json, require, ring_from_json
+    from .io import bundle_from_json, proset_from_json, proset_to_json, require, ring_from_json
     from .recovery import MatrixAccess, recover_poset
 
     obj, path = _load_ref(args.input), "$"
@@ -289,11 +301,9 @@ def cmd_recover(args):
         access = MatrixAccess(pro, ring)
     rng = random.Random(args.seed)
     rec = recover_poset(access, mode=args.mode, budget=args.budget, rng=rng)
-    payload, legend = _proset_payload(rec)
-    out = {"recovered": payload, "mode": args.mode, "operations": access.ops}
-    if legend:
-        out["legend"] = legend
-    return _emit(args, out)
+    # a recovered proset has integer labels, so it needs no legend
+    return _emit(args, {"recovered": proset_to_json(rec), "mode": args.mode,
+                        "operations": access.ops})
 
 
 # -- functor --------------------------------------------------------------------

@@ -293,9 +293,6 @@ class CoeffIdeal:
     def __init__(self, member):
         self.member = member
 
-    def region(self, pro):
-        return set(pro.pairs())
-
 
 class SumIdeal:
     """Sum of ideals, at most one of them a coefficient ideal; membership is

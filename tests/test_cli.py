@@ -792,3 +792,38 @@ def test_the_first_missing_label_is_named(capsys):
         assert code == 1
         assert json.loads(out)["error"] == {
             "type": "UnknownElement", "message": "'qq' is not an element of the proset"}
+
+
+def test_labels_that_spell_integers_name_the_proset_elements(capsys):
+    """On a finite proset a command-line label is read as the JSON readers
+    read one: "1" names the element "1", not the integer 1."""
+    pro = '{"elements":["a","1"],"relations":[["a","1"]]}'
+    code, out = run(capsys, "proset", "closure", "--proset", pro, "--subset", "1")
+    assert code == 0 and json.loads(out)["closure"] == ["1"]
+    code, out = run(capsys, "proset", "intervals", "--proset", pro, "--from", "a", "--to", "1")
+    assert code == 0 and json.loads(out)["interval"] == ["1", "a"]
+    code, out = run(capsys, "algebra", "project", "--a", '{"proset":%s,"ring":"Q"}' % pro,
+                    "--subset", "a,1")
+    assert code == 0 and json.loads(out)["result"]["proset"]["elements"] == ["1", "a"]
+    # on integer labels, and on a family, "1" is still the integer 1
+    code, out = run(capsys, "proset", "closure", "--proset", '{"elements":[0,1]}',
+                    "--subset", "1")
+    assert code == 0 and json.loads(out)["closure"] == [1]
+    code, out = run(capsys, "proset", "intervals", "--family", "N", "--from", "1", "--to", "2")
+    assert code == 0 and json.loads(out)["interval"] == [1, 2]
+
+
+def test_a_missing_matrix_reference_is_typed(capsys):
+    code, out = run(capsys, "algebra", "mul", "--b", "{}")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "IncRingError", "message": "a required input reference is missing"}
+
+
+def test_check_gives_tuple_labels_a_legend(capsys):
+    pro = '{"elements":[[0,1],[0,2]],"relations":[[[0,1],[0,2]]]}'
+    code, out = run(capsys, "proset", "check", "--proset", pro)
+    report = json.loads(out)
+    assert code == 0
+    assert report["legend"] == {"c0": "(0, 1)", "c1": "(0, 2)"}
+    assert report["proset"] == {"elements": ["c0", "c1"], "relations": [["c0", "c1"]]}

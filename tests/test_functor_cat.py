@@ -550,6 +550,16 @@ def test_equalizer_check_takes_extra_probes():
     assert report["probes"][-1]["reason"] == "does not commute with the pair"
 
 
+def test_equalizer_check_refuses_a_probe_from_elsewhere():
+    f1 = FccMap(CHAIN2, CHAIN3, {0: "a", 1: "b"})
+    f2 = FccMap(CHAIN2, CHAIN3, {0: "b", 1: "c"})
+    elsewhere = FccMap(CHAIN2, CHAIN2, {0: 0, 1: 1})
+    report = equalizer_check(f1, f2, probes=[elsewhere])
+    assert report["probes"][-1] == {"factors": False,
+                                    "reason": "probe does not start at the codomain"}
+    assert not report["passed"]
+
+
 def test_coequalizer_of_equal_maps_is_identity_like():
     f = FccMap(CHAIN2, CHAIN3, {0: "a", 1: "b"})
     quo, q = coequalizer(f, f)

@@ -61,6 +61,12 @@ def test_family_round_trip():
     assert family_to_json(fam) == {"family": "Zig"}
 
 
+def test_two_block_descriptor_reads_as_a_finite_proset():
+    pro = proset_from_json({"family": {"two_block": [2, 1]}})
+    assert pro.elements == ("b0", "t0", "t1")
+    assert pro.leq("b0", "t1") and pro.leq("t1", "t0") and not pro.leq("t0", "b0")
+
+
 def test_matrix_round_trip():
     ring = ModRing(6)
     rng = random.Random(4)

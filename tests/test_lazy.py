@@ -58,6 +58,15 @@ def test_entry_and_project():
         a.project([0, 2])
 
 
+def test_oracle_entries_off_the_order_are_zero():
+    """An oracle is asked only on order pairs; elsewhere the entry is 0."""
+    asked = []
+    a = lazy_from_oracle(ZigFamily(), QQ, lambda s, t: asked.append((s, t)) or 5)
+    assert a.entry(1, 3) == 0 and a.entry(1, 0) == 0
+    assert asked == []
+    assert a.entry(0, 1) == 5 and asked == [(0, 1)]
+
+
 @pytest.mark.parametrize("family, off, exc", [
     (NFamily(), {(-2, -1): 1}, {}),
     (ZFamily(), {((0,), 1): 1}, {}),

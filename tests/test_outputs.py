@@ -4,11 +4,14 @@ the four demos print are pinned by digest.
 A change that means to alter an output updates the digest here and says
 which outputs moved and why; any other change must leave every byte alone.  The cli invocations are replayed in this process through
 incring.cli.main, as `cliload.in_process_cycle` does for the traced run;
-`perfbench/` is read, never written (no bytecode is cached there).
+`perfbench/` is read, never written (no bytecode is cached there).  The
+traced run's wrapper list is read the same way, to check that it can wrap
+every method it names.
 """
 
 import contextlib
 import hashlib
+import importlib
 import io
 import runpy
 import sys
@@ -32,15 +35,15 @@ DEMO_DIGESTS = {
 }
 
 
-def _cliload():
+def _perfbench(name):
+    """The benchmark module `name`, imported without writing bytecode."""
     sys.path.insert(0, str(PERFBENCH))
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        import cliload
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(PERFBENCH))
-    return cliload
 
 
 def _captured(fn, *args):
@@ -52,7 +55,7 @@ def _captured(fn, *args):
 
 def cli_digest():
     h = hashlib.sha256()
-    invocations = _cliload().invocations
+    invocations = _perfbench("cliload").invocations
     for seed in range(5):
         for inv in invocations(seed):
             code, out, err = _captured(cli.main, list(inv.argv))
@@ -73,3 +76,13 @@ def test_cli_workload_outputs_are_pinned():
 
 def test_demo_outputs_are_pinned():
     assert {name: demo_digest(name) for name in DEMOS} == DEMO_DIGESTS
+
+
+def test_traced_methods_sit_in_their_own_class():
+    """The traced run wraps a class's own attribute (`owner.__dict__[attr]`),
+    so a method it names for a class must be in that class's body, not only
+    inherited."""
+    tracing = _perfbench("tracing")
+    for name, owner, attr in tracing.SPANS + tracing.COUNTS:
+        if isinstance(owner, type):
+            assert attr in owner.__dict__, (name, owner.__name__, attr)

@@ -295,6 +295,39 @@ def test_nstar_div_family():
     assert fam.is_convex(win)
 
 
+def test_n_refuses_infinite_down_sets_and_custom_families_can_be_prosets():
+    with pytest.raises(InfiniteNeighborhood, match="^N has infinite down-sets$"):
+        NFamily().down_set(3)
+    proset = CustomFamily(leq=lambda a, b: True, interval=lambda a, b: (a, b), poset=False)
+    assert not proset.is_poset()
+
+
+def test_n_and_zig_share_zs_labels_and_windows_but_not_its_order():
+    """N and Zig take their membership test, window and descriptor from Z
+    and state only what differs; the three still differ as families."""
+    n, z, zig = NFamily(), ZFamily(), ZigFamily()
+    assert zig.window(3) == z.window(3) == tuple(range(-3, 4))
+    assert n.window(3) == (0, 1, 2, 3)
+    assert [f.descriptor() for f in (n, z, zig)] == [
+        {"family": "N"}, {"family": "Z"}, {"family": "Zig"}]
+    assert len({n, z, zig}) == 3 and n != z != zig
+    assert n.interval(1, 3) == z.interval(1, 3) == (1, 2, 3)
+    assert zig.interval(1, 3) == () and zig.interval(2, 3) == (2, 3)
+    assert -1 in zig and -1 not in n
+
+
+def test_augmented_neighborhoods_are_frozensets():
+    """Up- and down-sets come back as sets, in no order, on prosets and
+    augmented families alike; Zig's own are tuples."""
+    fam = AugmentedFamily(ZigFamily(), [{0, 1}])
+    finite = ZigFamily().restrict(range(-4, 6)).augment([{0, 1}])
+    for s in (-1, 1, 2):
+        assert fam.up_set(s) == finite.up_set(s)
+        assert fam.down_set(s) == finite.down_set(s)
+    assert fam.up_set(2) == frozenset({-1, 0, 1, 2, 3})
+    assert ZigFamily().up_set(2) == (1, 2, 3)
+
+
 def test_augmented_family():
     base = ZigFamily()
     fam = AugmentedFamily(base, [frozenset([0, 3])])
@@ -503,6 +536,10 @@ def test_a_proset_refuses_a_label_it_lacks():
 
 def test_poset_counts():
     assert [len(enumerate_posets(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+
+
+def test_the_one_poset_on_no_points_is_empty():
+    assert enumerate_posets(0) == [Proset([])]
 
 
 def test_proset_counts():

@@ -97,6 +97,17 @@ def test_canon_idempotent():
             assert ring.canon(a) == a
 
 
+@pytest.mark.parametrize("ring, value, message", [
+    (ZZ, 1.5, "Z carries python ints, got 1.5"),
+    (QQ, 1.5, "Q carries Fractions, got 1.5"),
+    (ModRing(4), 1.5, "Z/4 carries ints, got 1.5"),
+    (QQ, True, "Q carries Fractions, got True"),
+])
+def test_canon_refuses_values_off_the_carrier(ring, value, message):
+    with pytest.raises(TypeError, match="^%s$" % message):
+        ring.canon(value)
+
+
 def test_q_draws_are_shared_and_keep_the_stream():
     """QQ.random draws the values Fraction(randint(-9, 9), randint(1, 9))
     would, from one shared table; QQ.canon keeps a Fraction as it is."""
