@@ -13,10 +13,11 @@ A random unit is drawn in one pass: per class, the entries of L*D*U are
 summed straight from the random factors, and they go into the matrix
 without re-validation, as do `enumerate_matrices`' canonical values.
 
-Closures are breadth-first orbits on one routine, `_orbit`: `mulclose`
-right-multiplies new elements by the kept generators only, about
-|closure| * |generators| products, and Dickson's conjugation orbit runs on
-the same loop.  A commutator carries its inverse from the cached inverses
+Closures grow one generator at a time on one routine, `_adjoin`, under
+one budget, `_CLOSURE_CAP`: `mulclose` right-multiplies new elements by
+the kept generators only, about |closure| * |generators| products, and
+Dickson's normal closure adjoins the conjugates of its kept generators by
+the same step.  A commutator carries its inverse from the cached inverses
 of its factors.
 """
 
@@ -415,58 +416,53 @@ def enumerate_invertibles(pro, ring, cap=None):
     return out
 
 
-def _orbit(found, seeds, actions, cap=None, max_rounds=None):
-    """Breadth-first orbit of `seeds` under the maps x -> l*x*r, one per
-    (l, r) in `actions`, where l None means x -> x*r.
+# elements a capped closure may hold before SearchBudgetExceeded
+_CLOSURE_CAP = 200000
 
-    `found` is a dict used as an insertion-ordered set: every element not
-    yet in it joins it in discovery order, and SearchBudgetExceeded is
-    raised once it holds more than `cap`.  At most `max_rounds` rounds of
-    actions run.  Returns the rounds run and the last frontier, which is
-    empty exactly when the orbit closed."""
 
-    def admit(candidates):
+def _adjoin(closure, kept, g, cap):
+    """Grow `closure`, the set of nonempty products of the generators
+    `kept`, by the generator g.
+
+    A g the closure already holds changes nothing.  Otherwise g joins
+    `kept`, {g} and {u*g : u in the closure} seed the new elements, and
+    each new element is right-multiplied by the kept generators until
+    nothing new turns up.  Raises SearchBudgetExceeded once the closure
+    holds more than `cap` elements; cap None sets no budget."""
+    if g in closure:
+        return
+    kept.append(g)
+    candidates = [g] + [u.mul(g) for u in closure]
+    while True:
         fresh = []
         for y in candidates:
-            if y not in found:
-                found[y] = None
+            if y not in closure:
+                closure.add(y)
                 fresh.append(y)
-                if cap is not None and len(found) > cap:
+                if cap is not None and len(closure) > cap:
                     raise SearchBudgetExceeded("closure exceeded %d elements" % cap)
-        return fresh
-
-    frontier = admit(seeds)
-    rounds = 0
-    while frontier and (max_rounds is None or rounds < max_rounds):
-        rounds += 1
-        frontier = admit(
-            x.mul(r) if l is None else l.mul(x).mul(r)
-            for x in frontier
-            for l, r in actions
-        )
-    return rounds, frontier
+        if not fresh:
+            return
+        candidates = (x.mul(r) for x in fresh for r in kept)
 
 
 def mulclose(mats, cap=None):
     """Every nonempty product of the matrices `mats`, as a set.
 
     A semigroup closure, so no input needs to be invertible.  It grows one
-    generator at a time: an input already in the closure is skipped; a new
-    one g seeds {g} and {u*g : u in the closure}, and each new element is
-    right-multiplied by the generators kept so far (the orbit algorithm).
-    That costs about |closure| * |kept generators| products, against the
+    generator at a time (`_adjoin`): an input already in the closure is
+    skipped; a new one g seeds {g} and {u*g : u in the closure}, and each
+    new element is right-multiplied by the generators kept so far.  That
+    costs about |closure| * |kept generators| products, against the
     2 |closure|^2 of multiplying new elements by everything found.  Raises
     SearchBudgetExceeded exactly when the closure has more than `cap`
     elements; at cap None it can grow to all |R|^|pairs| matrices of a
     finite ring.
     """
-    closure, actions = {}, []
+    closure, kept = set(), []
     for g in mats:
-        if g in closure:
-            continue
-        actions.append((None, g))
-        _orbit(closure, [g] + [u.mul(g) for u in closure], actions, cap)
-    return set(closure)
+        _adjoin(closure, kept, g, cap)
+    return closure
 
 
 # -- commutator sampling -----------------------------------------------------------
@@ -504,15 +500,18 @@ def iterated_commutator_sample(pro, ring, depth, samples, rng):
 # -- Dickson closure and the opposite-order isomorphism ------------------------------
 
 
-def dickson_normal_closure(n, q, rng, max_rounds=64):
+def dickson_normal_closure(n, q, rng):
     """Normal closure of a noncentral element of GL_n(F_q) on the full block.
 
-    Needs n >= 2, and |F| > 3 when n == 2.  The closure is grown by
-    conjugating with group generators and closing under products; the report
-    records its order and whether the standard SL_n generating pair landed
-    inside.  Conjugation stops after `max_rounds` rounds; `rounds` says how
-    many ran, and `truncated` is true when new conjugates were still turning
-    up at that point, so the closure may be too small.
+    Needs n >= 2, and |F| > 3 when n == 2.  The closure starts as the
+    subgroup the seed generates.  Then, for each kept generator x (the
+    list grows while it is read) and each group generator g, the conjugate
+    g*x*g^-1 joins the closure through `mulclose`'s step, `_adjoin`,
+    whenever the closure lacks it (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 3.3).  The report records its order and
+    whether the standard SL_n generating pair landed inside.  Raises
+    SearchBudgetExceeded once the closure holds more than `_CLOSURE_CAP`
+    elements.
     """
     if n < 2:
         raise HypothesisViolation("need n >= 2")
@@ -528,11 +527,11 @@ def dickson_normal_closure(n, q, rng, max_rounds=64):
         seed = random_invertible(pro, ring, rng)
         if not is_scalar_unit(seed):
             break
-    orbit = {}
-    rounds, frontier = _orbit(
-        orbit, [seed], [(g.matrix, g.inverse_matrix) for g in gens], max_rounds=max_rounds
-    )
-    closure = mulclose(orbit)
+    closure, kept = set(), []
+    _adjoin(closure, kept, seed, _CLOSURE_CAP)
+    for x in kept:
+        for g in gens:
+            _adjoin(closure, kept, g.matrix.mul(x).mul(g.inverse_matrix), _CLOSURE_CAP)
     sl_pair = [
         identity(pro, ring).add(unit(pro, ring, labels[0], labels[1])),
         identity(pro, ring).add(unit(pro, ring, labels[1], labels[0])),
@@ -545,8 +544,6 @@ def dickson_normal_closure(n, q, rng, max_rounds=64):
         "n": n,
         "q": q,
         "seed": seed,
-        "rounds": rounds,
-        "truncated": bool(frontier),
         "closure_order": len(closure),
         "contains_sl_generators": all(m in closure for m in sl_pair),
         "sl_order": sl_order,

@@ -16,7 +16,14 @@ from .errors import (
     NotInvertible,
     UnknownElement,
 )
-from .glgroup import centrality_generators, certify, enumerate_invertibles, invert, mulclose
+from .glgroup import (
+    _CLOSURE_CAP,
+    centrality_generators,
+    certify,
+    enumerate_invertibles,
+    invert,
+    mulclose,
+)
 from .matrices import IncMatrix, _read, identity
 from .prosets import AugmentedFamily
 
@@ -239,10 +246,6 @@ def agl_invert(g):
 # -- quasi-Z windows ----------------------------------------------------------------
 
 
-# elements either closure may reach before SearchBudgetExceeded
-_QZ_CAP = 200000
-
-
 def qz_window_check(family, ring, window, inner):
     """Verify on finite data that the subgroup generated by units supported on
     sets with N_1-closure inside `window` projects onto the whole unit group
@@ -284,8 +287,8 @@ def qz_window_check(family, ring, window, inner):
     projected = [m.project(inner) for m in lifts]
     if projected != gens:
         raise AssertionError("projections no longer match the inner generators")
-    reached = mulclose(projected, cap=_QZ_CAP)
-    full = set(enumerate_invertibles(ipro, ring, cap=_QZ_CAP))
+    reached = mulclose(projected, cap=_CLOSURE_CAP)
+    full = set(enumerate_invertibles(ipro, ring, cap=_CLOSURE_CAP))
     return {
         "window": sorted(window),
         "inner": sorted(inner),

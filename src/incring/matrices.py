@@ -39,7 +39,6 @@ __all__ = [
     "SumIdeal",
     "ideal_membership",
     "join_components",
-    "region_pairs",
 ]
 
 
@@ -300,10 +299,6 @@ class SumIdeal:
 
     def __init__(self, parts):
         self.parts = tuple(parts)
-
-
-def region_pairs(pro, ideal):
-    return ideal.region(pro)
 
 
 def ideal_membership(matrix, ideal):

@@ -49,7 +49,6 @@ from incring.matrices import (
     identity,
     ideal_membership,
     indicator,
-    region_pairs,
     scalar_diag,
     unit,
     zero,
@@ -322,7 +321,7 @@ def test_criterion_04_quotient_projection():
     for pq in subpro.pairs():
         assert unit(wpro, ring, *pq).project(sub) == unit(subpro, ring, *pq)
     ideal = ConvexIdeal(sub)
-    region = region_pairs(wpro, ideal)
+    region = ideal.region(wpro)
     in_kernel_seen = 0
     for k in range(200):
         m = random_matrix(wpro, ring, rng)

@@ -7,12 +7,14 @@ import time
 
 import pytest
 
+from incring import glgroup
 from incring.errors import HypothesisViolation, MalformedInput, NotInvertible, SearchBudgetExceeded
 from incring.glgroup import (
     GroupElement,
     _block_inverse,
     _class_block,
     _det_adj,
+    centrality_generators,
     certify,
     commutator,
     det_block,
@@ -370,12 +372,40 @@ def test_dickson_gl3_f2_closure_is_everything():
     assert rep["closure_order"] == 168
 
 
-def test_dickson_reports_rounds_and_truncation():
-    full = dickson_normal_closure(3, 2, random.Random(0))
-    assert full["truncated"] is False and full["rounds"] >= 1
-    cut = dickson_normal_closure(3, 2, random.Random(0), max_rounds=1)
-    assert cut["rounds"] == 1
-    assert cut["truncated"] is True
+def conjugation_orbit_closure(n, q, seed):
+    """Oracle: the seed's whole orbit under conjugation by the group
+    generators, listed breadth-first, then closed under products."""
+    ring, pro = PrimeField(q), two_block(n)
+    gens = [certify(g) for g in centrality_generators(pro, ring)]
+    orbit, frontier = {seed}, [seed]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = g.matrix.mul(x).mul(g.inverse_matrix)
+                if y not in orbit:
+                    orbit.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return mulclose(orbit)
+
+
+def test_dickson_matches_the_conjugation_orbit_oracle():
+    for n, q in [(2, 5), (3, 2), (2, 7)]:
+        pro, ring = two_block(n), PrimeField(q)
+        one = identity(pro, ring)
+        sl_pair = [one.add(unit(pro, ring, "t0", "t1")), one.add(unit(pro, ring, "t1", "t0"))]
+        for s in range(10):
+            rep = dickson_normal_closure(n, q, random.Random(s))
+            want = conjugation_orbit_closure(n, q, rep["seed"])
+            assert rep["closure_order"] == len(want), (n, q, s)
+            assert rep["contains_sl_generators"] == all(m in want for m in sl_pair), (n, q, s)
+
+
+def test_dickson_closure_past_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(glgroup, "_CLOSURE_CAP", 100)
+    with pytest.raises(SearchBudgetExceeded, match=r"^closure exceeded 100 elements$"):
+        dickson_normal_closure(3, 2, random.Random(0))
 
 
 def test_dickson_reaches_larger_groups():
@@ -385,7 +415,6 @@ def test_dickson_reaches_larger_groups():
     for n, q in [(2, 7), (2, 11), (3, 3), (4, 2)]:
         rep = dickson_normal_closure(n, q, random.Random(0))
         assert rep["contains_sl_generators"] and rep["order_divisible_by_sl"]
-        assert rep["truncated"] is False
     assert time.perf_counter() - t0 < 10
 
 

@@ -18,6 +18,7 @@ from incring.errors import (
     UnknownElement,
 )
 from incring.functor_cat import FccMap, coequalizer, pushout
+from incring.glgroup import dickson_normal_closure
 from incring.io import lazy_to_json, map_to_json, matrix_to_json, proset_to_json
 from incring.lazy import qz_window_check
 from incring.matrices import CoeffIdeal, IncMatrix, indicator, unit, zero
@@ -596,13 +597,14 @@ def test_seeded_generator_draws_are_pinned():
 
 def test_rates_and_caps_are_not_options():
     """The generators' rates, the qz closure cap, the window start, the
-    convex-subset bound and the ideal label are fixed, and no family says
-    whether it is Z-like."""
+    convex-subset bound and the ideal label are fixed, the Dickson closure
+    has no round limit, and no family says whether it is Z-like."""
     gone = [
         (random_poset, "density"), (random_proset, "density"), (random_matrix, "density"),
         (random_finitary, "density"), (random_fcc_map, "constant_bias"),
         (CustomFamily, "z_like"), (ProsetFamily.windows, "start"),
         (Proset.gamma_enumerate, "bound"), (qz_window_check, "cap"), (CoeffIdeal, "label"),
+        (dickson_normal_closure, "max_rounds"),
     ]
     for fn, name in gone:
         assert name not in inspect.signature(fn).parameters, (fn, name)
